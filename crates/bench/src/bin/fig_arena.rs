@@ -1,14 +1,13 @@
-//! E13 — arena-backed semantic values versus the legacy `Rc` tree
-//! representation: throughput and peak heap per parse, on every grammar
-//! and every engine.
+//! E13 — arena-backed semantic values: zero-copy event streaming versus
+//! owned trees copied out of the region. Throughput and peak heap per
+//! parse, on every grammar and every engine.
 //!
 //! Methodology: **paired-interleaved rounds** (as in E2/E12). Each timed
-//! round runs all three legs back-to-back per engine — `events` (arena,
-//! zero-copy: the tree is streamed straight out of the region), `tree`
-//! (arena build + `copy_out` into a detached owned tree), and `legacy`
-//! (the old per-node `Rc` representation) — so allocator state and
-//! frequency scaling bias every leg equally. Trees are verified
-//! identical across the tree-producing legs first.
+//! round runs both legs back-to-back per engine — `events` (zero-copy:
+//! the tree is streamed straight out of the region) and `tree` (arena
+//! build + `copy_out` into a detached owned tree) — so allocator state
+//! and frequency scaling bias both legs equally. Every engine's event
+//! stream is verified to rebuild the engine's tree first.
 //!
 //! Peak heap is tracked by a counting global allocator: before each
 //! measured parse the high-water mark is rewound to the current live
@@ -17,13 +16,13 @@
 //! document:
 //!
 //! * **one-shot** — a cold parse that must also build its packrat memo
-//!   table. The memo dominates this number for every leg, so the
-//!   representation barely moves it; it is reported for honesty, not as
-//!   the headline.
+//!   table. The memo dominates this number for both legs, so the output
+//!   mode barely moves it; it is reported for honesty, not as the
+//!   headline.
 //! * **steady-state** — recycled [`SessionPool`] sessions, measured from
 //!   the trough (session checked out and reset *before* the measurement
 //!   starts). This is the per-parse marginal cost once capacities are
-//!   warm, where the representation is the whole story.
+//!   warm, where the output mode is the whole story.
 //!
 //! `fig_arena --smoke` instead runs the recycle-leak check used by
 //! `scripts/arena-smoke.sh`: parse/recycle through a [`SessionPool`]
@@ -38,9 +37,9 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::time::Duration;
 
-use modpeg_bench::{ms, time_once, Knobs};
-use modpeg_interp::{CompiledGrammar, OptConfig};
-use modpeg_runtime::{EventCounts, EventSink, ParseError, SyntaxTree};
+use modpeg_bench::{ms, time_once, Knobs, FAMILIES};
+use modpeg_interp::{CompiledGrammar, Engine, OptConfig, ParseOptions};
+use modpeg_runtime::{EventCounts, SyntaxTree, TreeBuilder};
 use modpeg_session::SessionPool;
 use modpeg_vm::VmProgram;
 
@@ -96,106 +95,22 @@ fn peak_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
     (PEAK.load(Relaxed).saturating_sub(base), r)
 }
 
-type GenParse = fn(&str) -> Result<SyntaxTree, ParseError>;
-type GenEvents = fn(&str, &mut dyn EventSink) -> Result<(), ParseError>;
-
-struct Family {
-    name: &'static str,
-    grammar: fn() -> Result<modpeg_core::Grammar, modpeg_core::Diagnostics>,
-    workload: fn(u64, usize) -> String,
-    generated: GenParse,
-    generated_legacy: GenParse,
-    generated_events: GenEvents,
+/// Arena build, events streamed from the region, no tree.
+fn events(engine: &dyn Engine, input: &str) -> EventCounts {
+    let mut c = EventCounts::default();
+    engine
+        .events(input, &ParseOptions::default(), &mut c)
+        .0
+        .expect("parses");
+    c
 }
 
-const FAMILIES: &[Family] = &[
-    Family {
-        name: "calc",
-        grammar: modpeg_grammars::calc_grammar,
-        workload: modpeg_workload::calc_expression,
-        generated: modpeg_grammars::generated::calc::parse,
-        generated_legacy: modpeg_grammars::generated::calc::parse_legacy,
-        generated_events: modpeg_grammars::generated::calc::parse_events,
-    },
-    Family {
-        name: "json",
-        grammar: modpeg_grammars::json_grammar,
-        workload: modpeg_workload::json_document,
-        generated: modpeg_grammars::generated::json::parse,
-        generated_legacy: modpeg_grammars::generated::json::parse_legacy,
-        generated_events: modpeg_grammars::generated::json::parse_events,
-    },
-    Family {
-        name: "java",
-        grammar: modpeg_grammars::java_grammar,
-        workload: modpeg_workload::java_program,
-        generated: modpeg_grammars::generated::java::parse,
-        generated_legacy: modpeg_grammars::generated::java::parse_legacy,
-        generated_events: modpeg_grammars::generated::java::parse_events,
-    },
-    Family {
-        name: "c",
-        grammar: modpeg_grammars::c_grammar,
-        workload: modpeg_workload::c_program,
-        generated: modpeg_grammars::generated::c::parse,
-        generated_legacy: modpeg_grammars::generated::c::parse_legacy,
-        generated_events: modpeg_grammars::generated::c::parse_events,
-    },
-];
-
-/// The three legs of one engine.
-struct Engine<'a> {
-    name: &'static str,
-    /// Arena build, events streamed from the region, no tree.
-    events: Box<dyn Fn(&str) -> EventCounts + 'a>,
-    /// Arena build, `copy_out` into a detached owned tree.
-    tree: Box<dyn Fn(&str) -> SyntaxTree + 'a>,
-    /// The old per-node `Rc` representation.
-    legacy: Box<dyn Fn(&str) -> SyntaxTree + 'a>,
-}
-
-fn engines<'a>(
-    family: &Family,
-    interp: &'a CompiledGrammar,
-    interp_legacy: &'a CompiledGrammar,
-    vm: &'a VmProgram,
-    vm_legacy: &'a VmProgram,
-) -> Vec<Engine<'a>> {
-    let generated = family.generated;
-    let generated_legacy = family.generated_legacy;
-    let generated_events = family.generated_events;
-    vec![
-        Engine {
-            name: "interp",
-            events: Box::new(move |i| {
-                let mut c = EventCounts::default();
-                interp.parse_events(i, &mut c).expect("parses");
-                c
-            }),
-            tree: Box::new(move |i| interp.parse(i).expect("parses")),
-            legacy: Box::new(move |i| interp_legacy.parse(i).expect("parses")),
-        },
-        Engine {
-            name: "vm",
-            events: Box::new(move |i| {
-                let mut c = EventCounts::default();
-                vm.parse_events(i, &mut c).expect("parses");
-                c
-            }),
-            tree: Box::new(move |i| vm.parse(i).expect("parses")),
-            legacy: Box::new(move |i| vm_legacy.parse(i).expect("parses")),
-        },
-        Engine {
-            name: "codegen",
-            events: Box::new(move |i| {
-                let mut c = EventCounts::default();
-                generated_events(i, &mut c).expect("parses");
-                c
-            }),
-            tree: Box::new(move |i| generated(i).expect("parses")),
-            legacy: Box::new(move |i| generated_legacy(i).expect("parses")),
-        },
-    ]
+/// Arena build, `copy_out` into a detached owned tree.
+fn tree(engine: &dyn Engine, input: &str) -> SyntaxTree {
+    engine
+        .tree(input, &ParseOptions::default())
+        .0
+        .expect("parses")
 }
 
 fn median(mut times: Vec<Duration>) -> Duration {
@@ -217,9 +132,9 @@ fn main() {
     }
     let knobs = Knobs::from_env(24_000, 3, 5);
     println!(
-        "E13 — arena-backed values vs legacy representation\n\
+        "E13 — arena-backed values: events vs owned trees\n\
          ({} inputs x {} bytes per grammar, all engines at full optimization,\n\
-         median of {} paired-interleaved rounds; trees verified identical)\n",
+         median of {} paired-interleaved rounds; event streams verified to rebuild the tree)\n",
         knobs.seeds, knobs.bytes, knobs.runs
     );
 
@@ -227,87 +142,70 @@ fn main() {
     for family in FAMILIES {
         let grammar = (family.grammar)().expect("grammar elaborates");
         let interp = CompiledGrammar::compile(&grammar, OptConfig::all()).expect("compiles");
-        let mut interp_legacy = interp.clone();
-        interp_legacy.set_arena_enabled(false);
         let vm = VmProgram::from_compiled(&interp).expect("bytecode assembles");
-        let mut vm_legacy = VmProgram::from_compiled(&interp).expect("bytecode assembles");
-        vm_legacy.set_arena_enabled(false);
         let inputs: Vec<String> = (0..knobs.seeds)
             .map(|s| (family.workload)(s, knobs.bytes))
             .collect();
 
-        for engine in engines(family, &interp, &interp_legacy, &vm, &vm_legacy) {
+        for (name, engine) in family.engines(&interp, &vm) {
             // Identical trees first; a leaner wrong parser is no parser.
             for input in &inputs {
+                let mut builder = TreeBuilder::new();
+                engine
+                    .events(input, &ParseOptions::default(), &mut builder)
+                    .0
+                    .expect("parses");
+                let rebuilt = builder.finish().expect("balanced event stream");
                 assert_eq!(
-                    (engine.tree)(input).to_sexpr(),
-                    (engine.legacy)(input).to_sexpr(),
-                    "{}/{}: arena and legacy trees diverged",
+                    SyntaxTree::new(input, rebuilt).to_sexpr(),
+                    tree(engine, input).to_sexpr(),
+                    "{}/{name}: event stream and tree diverged",
                     family.name,
-                    engine.name
                 );
                 assert!(
-                    (engine.events)(input).nodes > 0,
-                    "{}/{}: event stream saw no nodes",
+                    events(engine, input).nodes > 0,
+                    "{}/{name}: event stream saw no nodes",
                     family.name,
-                    engine.name
                 );
             }
 
             // Paired-interleaved timing: warmup round, then `runs` rounds
-            // of events → tree → legacy over the whole input set.
+            // of events → tree over the whole input set.
             let mut t_events = Vec::with_capacity(knobs.runs);
             let mut t_tree = Vec::with_capacity(knobs.runs);
-            let mut t_legacy = Vec::with_capacity(knobs.runs);
             for round in 0..=knobs.runs {
                 let (de, _) = time_once(|| {
                     for i in &inputs {
-                        std::hint::black_box((engine.events)(i));
+                        std::hint::black_box(events(engine, i));
                     }
                 });
                 let (dt, _) = time_once(|| {
                     for i in &inputs {
-                        std::hint::black_box((engine.tree)(i));
-                    }
-                });
-                let (dl, _) = time_once(|| {
-                    for i in &inputs {
-                        std::hint::black_box((engine.legacy)(i));
+                        std::hint::black_box(tree(engine, i));
                     }
                 });
                 if round > 0 {
                     t_events.push(de);
                     t_tree.push(dt);
-                    t_legacy.push(dl);
                 }
             }
-            let (me, mt, ml) = (median(t_events), median(t_tree), median(t_legacy));
+            let (me, mt) = (median(t_events), median(t_tree));
             rows.push(vec![
                 family.name.to_owned(),
-                engine.name.to_owned(),
+                name.to_owned(),
                 ms(me),
                 ms(mt),
-                ms(ml),
-                delta(me, ml),
-                delta(mt, ml),
+                delta(mt, me),
             ]);
         }
     }
     modpeg_bench::print_table(
-        &[
-            "grammar",
-            "engine",
-            "events ms",
-            "tree ms",
-            "legacy ms",
-            "events delta",
-            "tree delta",
-        ],
+        &["grammar", "engine", "events ms", "tree ms", "tree delta"],
         &rows,
     );
     println!(
-        "\ndeltas are relative to the legacy leg (negative = faster than legacy);\n\
-         `tree delta` is the copy_out toll paid to detach an owned tree."
+        "\n`tree delta` is relative to the events leg: the copy_out toll paid to\n\
+         detach an owned tree."
     );
 
     // One grid for the JSON companion: a `section` column distinguishes
@@ -317,7 +215,7 @@ fn main() {
         .into_iter()
         .map(|mut r| {
             r.insert(0, "throughput".to_owned());
-            r.extend(std::iter::repeat_n("-".to_owned(), 5));
+            r.extend(std::iter::repeat_n("-".to_owned(), 4));
             r
         })
         .collect();
@@ -336,12 +234,9 @@ fn main() {
             "engine",
             "events ms",
             "tree ms",
-            "legacy ms",
-            "events delta",
             "tree delta",
             "events peak KiB",
             "tree peak KiB",
-            "legacy peak KiB",
             "session leg",
             "peak KiB/parse",
         ],
@@ -360,35 +255,25 @@ fn heap_section() -> Vec<Vec<String>> {
     // One-shot: a cold parse pays the packrat memo for every leg, which
     // dominates the number; reported for honesty.
     let interp = CompiledGrammar::compile(&java, OptConfig::all()).expect("compiles");
-    let mut interp_legacy = interp.clone();
-    interp_legacy.set_arena_enabled(false);
     let vm = VmProgram::from_compiled(&interp).expect("bytecode assembles");
-    let mut vm_legacy = VmProgram::from_compiled(&interp).expect("bytecode assembles");
-    vm_legacy.set_arena_enabled(false);
-    println!("\none-shot (cold memo table; memo dominates every leg):");
+    println!("\none-shot (cold memo table; memo dominates both legs):");
     let mut rows = Vec::new();
-    for engine in engines(&FAMILIES[2], &interp, &interp_legacy, &vm, &vm_legacy) {
-        let (peak_events, _) = peak_during(|| std::hint::black_box((engine.events)(&doc)));
-        let (peak_tree, _) = peak_during(|| std::hint::black_box((engine.tree)(&doc)));
-        let (peak_legacy, _) = peak_during(|| std::hint::black_box((engine.legacy)(&doc)));
+    for (name, engine) in FAMILIES[2].engines(&interp, &vm) {
+        let (peak_events, _) = peak_during(|| std::hint::black_box(events(engine, &doc)));
+        let (peak_tree, _) = peak_during(|| std::hint::black_box(tree(engine, &doc)));
         rows.push(vec![
-            engine.name.to_owned(),
+            name.to_owned(),
             (peak_events / 1024).to_string(),
             (peak_tree / 1024).to_string(),
-            (peak_legacy / 1024).to_string(),
         ]);
-        let mut jr = vec!["one-shot heap".to_owned(), "java".to_owned(), engine.name.to_owned()];
-        jr.extend(std::iter::repeat_n("-".to_owned(), 5));
+        let mut jr = vec!["one-shot heap".to_owned(), "java".to_owned(), name.to_owned()];
+        jr.extend(std::iter::repeat_n("-".to_owned(), 3));
         jr.push((peak_events / 1024).to_string());
         jr.push((peak_tree / 1024).to_string());
-        jr.push((peak_legacy / 1024).to_string());
         jr.extend(std::iter::repeat_n("-".to_owned(), 2));
         json_rows.push(jr);
     }
-    modpeg_bench::print_table(
-        &["engine", "events peak KiB", "tree peak KiB", "legacy peak KiB"],
-        &rows,
-    );
+    modpeg_bench::print_table(&["engine", "events peak KiB", "tree peak KiB"], &rows);
 
     // Steady-state: recycled sessions, measured from the trough — the
     // session is checked out (and its memo reset) before measurement
@@ -397,14 +282,8 @@ fn heap_section() -> Vec<Vec<String>> {
     println!("\nsteady-state recycled sessions (marginal heap per parse, median of 5 cycles):");
     let mut rows = Vec::new();
     let mut headline = (1usize, 1usize);
-    for (label, arena_on, events) in [
-        ("legacy tree", false, false),
-        ("legacy events", false, true),
-        ("arena tree", true, false),
-        ("arena events", true, true),
-    ] {
-        let mut compiled = CompiledGrammar::compile(&java, OptConfig::all()).expect("compiles");
-        compiled.set_arena_enabled(arena_on);
+    for (label, events) in [("tree", false), ("events", true)] {
+        let compiled = CompiledGrammar::compile(&java, OptConfig::all()).expect("compiles");
         let mut pool = SessionPool::new(Rc::new(compiled));
         let mut cycle = |measure: bool| -> usize {
             let mut s = pool.session(doc.clone());
@@ -430,23 +309,22 @@ fn heap_section() -> Vec<Vec<String>> {
         let mut peaks: Vec<usize> = (0..5).map(|_| cycle(true)).collect();
         peaks.sort_unstable();
         let peak = peaks[peaks.len() / 2];
-        if label == "legacy tree" {
-            headline.1 = peak;
-        }
-        if label == "arena events" {
+        if events {
             headline.0 = peak;
+        } else {
+            headline.1 = peak;
         }
         rows.push(vec![label.to_owned(), (peak / 1024).to_string()]);
         let mut jr = vec!["steady-state heap".to_owned(), "java".to_owned()];
-        jr.extend(std::iter::repeat_n("-".to_owned(), 9));
+        jr.extend(std::iter::repeat_n("-".to_owned(), 6));
         jr.push(label.to_owned());
         jr.push((peak / 1024).to_string());
         json_rows.push(jr);
     }
     modpeg_bench::print_table(&["session leg", "peak KiB/parse"], &rows);
     println!(
-        "\nheadline: zero-copy steady state (arena events) needs {:.1}x less heap\n\
-         per parse than the legacy representation ({} KiB vs {} KiB).",
+        "\nheadline: zero-copy steady state (events) needs {:.1}x less heap\n\
+         per parse than an owned tree ({} KiB vs {} KiB).",
         headline.1 as f64 / (headline.0 as f64).max(1.0),
         headline.0 / 1024,
         headline.1 / 1024,

@@ -28,7 +28,7 @@
 use std::time::{Duration, Instant};
 
 use modpeg_bench::{ms, Knobs};
-use modpeg_interp::{CompiledGrammar, OptConfig};
+use modpeg_interp::{CompiledGrammar, Engine, OptConfig, ParseOptions};
 use modpeg_runtime::Governor;
 
 fn generous() -> Governor {
@@ -188,20 +188,21 @@ fn main() {
         || {
             for input in &inputs {
                 let gov = Governor::new();
-                let (r, _) = interp.parse_governed(input, &gov);
+                let (r, _) = interp.tree(input, &ParseOptions::governed(&gov));
                 std::hint::black_box(r.expect("workload parses governed"));
             }
         },
         || {
             for input in &inputs {
                 let gov = generous();
-                let (r, _) = interp.parse_governed(input, &gov);
+                let (r, _) = interp.tree(input, &ParseOptions::governed(&gov));
                 std::hint::black_box(r.expect("workload parses under generous limits"));
             }
         },
     );
     rows.push(row("interp (all opts)", &m));
 
+    let java = modpeg_grammars::generated::java::GeneratedEngine;
     let m = campaign(
         knobs.runs,
         || {
@@ -214,14 +215,14 @@ fn main() {
         || {
             for input in &inputs {
                 let gov = Governor::new();
-                let (r, _) = modpeg_grammars::generated::java::parse_governed(input, &gov);
+                let (r, _) = java.tree(input, &ParseOptions::governed(&gov));
                 std::hint::black_box(r.expect("workload parses governed"));
             }
         },
         || {
             for input in &inputs {
                 let gov = generous();
-                let (r, _) = modpeg_grammars::generated::java::parse_governed(input, &gov);
+                let (r, _) = java.tree(input, &ParseOptions::governed(&gov));
                 std::hint::black_box(r.expect("workload parses under generous limits"));
             }
         },

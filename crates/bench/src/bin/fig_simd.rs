@@ -29,49 +29,17 @@
 
 use std::time::Duration;
 
-use modpeg_bench::{kib_per_s, ms, time_once, Knobs};
-use modpeg_interp::{CompiledGrammar, OptConfig};
-use modpeg_runtime::{scan, ParseError, SyntaxTree};
+use modpeg_bench::{kib_per_s, ms, time_once, Knobs, FAMILIES};
+use modpeg_interp::{CompiledGrammar, Engine, OptConfig, ParseOptions};
+use modpeg_runtime::{scan, SyntaxTree};
 use modpeg_vm::VmProgram;
 
-type GenParse = fn(&str) -> Result<SyntaxTree, ParseError>;
-
-/// One engine's timed cell: input in, verified tree out.
-type EngineParse<'a> = Box<dyn Fn(&str) -> SyntaxTree + 'a>;
-
-struct Family {
-    name: &'static str,
-    grammar: fn() -> Result<modpeg_core::Grammar, modpeg_core::Diagnostics>,
-    workload: fn(u64, usize) -> String,
-    generated: GenParse,
+fn parse(engine: &dyn Engine, input: &str) -> SyntaxTree {
+    engine
+        .tree(input, &ParseOptions::default())
+        .0
+        .expect("parses")
 }
-
-const FAMILIES: &[Family] = &[
-    Family {
-        name: "calc",
-        grammar: modpeg_grammars::calc_grammar,
-        workload: modpeg_workload::calc_lexical,
-        generated: modpeg_grammars::generated::calc::parse,
-    },
-    Family {
-        name: "json",
-        grammar: modpeg_grammars::json_grammar,
-        workload: modpeg_workload::json_lexical,
-        generated: modpeg_grammars::generated::json::parse,
-    },
-    Family {
-        name: "java",
-        grammar: modpeg_grammars::java_grammar,
-        workload: modpeg_workload::java_lexical,
-        generated: modpeg_grammars::generated::java::parse,
-    },
-    Family {
-        name: "c",
-        grammar: modpeg_grammars::c_grammar,
-        workload: modpeg_workload::c_lexical,
-        generated: modpeg_grammars::generated::c::parse,
-    },
-];
 
 fn median(mut times: Vec<Duration>) -> Duration {
     times.sort_unstable();
@@ -94,32 +62,21 @@ fn main() {
         let interp = CompiledGrammar::compile(&grammar, OptConfig::all()).expect("compiles");
         let vm = VmProgram::from_compiled(&interp).expect("bytecode assembles");
         let inputs: Vec<String> = (0..knobs.seeds)
-            .map(|s| (family.workload)(s, knobs.bytes))
+            .map(|s| (family.lexical)(s, knobs.bytes))
             .collect();
         let total_bytes: usize = inputs.iter().map(String::len).sum();
 
-        // One closure per engine; scan mode is toggled around each call.
-        let engines: Vec<(&str, EngineParse<'_>)> = vec![
-            (
-                "interp",
-                Box::new(|i: &str| interp.parse(i).expect("interp parses")),
-            ),
-            ("vm", Box::new(|i: &str| vm.parse(i).expect("vm parses"))),
-            (
-                "codegen",
-                Box::new(|i: &str| (family.generated)(i).expect("codegen parses")),
-            ),
-        ];
+        let engines = family.engines(&interp, &vm);
 
         // Identical trees in both scan modes first.
         for input in &inputs {
             scan::force_scalar(true);
-            let reference = interp.parse(input).expect("interp parses").to_sexpr();
-            for (name, parse) in &engines {
+            let reference = parse(&interp, input).to_sexpr();
+            for (name, engine) in &engines {
                 scan::force_scalar(true);
-                let scalar = parse(input).to_sexpr();
+                let scalar = parse(*engine, input).to_sexpr();
                 scan::force_scalar(false);
-                let vectorized = parse(input).to_sexpr();
+                let vectorized = parse(*engine, input).to_sexpr();
                 assert_eq!(
                     scalar, reference,
                     "{}/{name}: scalar tree diverged",
@@ -138,17 +95,17 @@ fn main() {
         let mut scalar_times: Vec<Vec<Duration>> = vec![Vec::new(); engines.len()];
         let mut vector_times: Vec<Vec<Duration>> = vec![Vec::new(); engines.len()];
         for round in 0..=knobs.runs {
-            for (e, (_, parse)) in engines.iter().enumerate() {
+            for (e, (_, engine)) in engines.iter().enumerate() {
                 scan::force_scalar(true);
                 let (ds, _) = time_once(|| {
                     for i in &inputs {
-                        std::hint::black_box(parse(i));
+                        std::hint::black_box(parse(*engine, i));
                     }
                 });
                 scan::force_scalar(false);
                 let (dv, _) = time_once(|| {
                     for i in &inputs {
-                        std::hint::black_box(parse(i));
+                        std::hint::black_box(parse(*engine, i));
                     }
                 });
                 if round > 0 {

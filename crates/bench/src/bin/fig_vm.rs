@@ -15,46 +15,17 @@
 
 use std::time::Duration;
 
-use modpeg_bench::{kib_per_s, ms, time_once, Knobs};
-use modpeg_interp::{CompiledGrammar, OptConfig};
-use modpeg_runtime::{ParseError, SyntaxTree};
+use modpeg_bench::{kib_per_s, ms, time_once, Knobs, FAMILIES};
+use modpeg_interp::{CompiledGrammar, Engine, OptConfig, ParseOptions};
+use modpeg_runtime::SyntaxTree;
 use modpeg_vm::VmProgram;
 
-type GenParse = fn(&str) -> Result<SyntaxTree, ParseError>;
-
-struct Family {
-    name: &'static str,
-    grammar: fn() -> Result<modpeg_core::Grammar, modpeg_core::Diagnostics>,
-    workload: fn(u64, usize) -> String,
-    generated: GenParse,
+fn parse(engine: &dyn Engine, input: &str) -> SyntaxTree {
+    engine
+        .tree(input, &ParseOptions::default())
+        .0
+        .expect("parses")
 }
-
-const FAMILIES: &[Family] = &[
-    Family {
-        name: "calc",
-        grammar: modpeg_grammars::calc_grammar,
-        workload: modpeg_workload::calc_expression,
-        generated: modpeg_grammars::generated::calc::parse,
-    },
-    Family {
-        name: "json",
-        grammar: modpeg_grammars::json_grammar,
-        workload: modpeg_workload::json_document,
-        generated: modpeg_grammars::generated::json::parse,
-    },
-    Family {
-        name: "java",
-        grammar: modpeg_grammars::java_grammar,
-        workload: modpeg_workload::java_program,
-        generated: modpeg_grammars::generated::java::parse,
-    },
-    Family {
-        name: "c",
-        grammar: modpeg_grammars::c_grammar,
-        workload: modpeg_workload::c_program,
-        generated: modpeg_grammars::generated::c::parse,
-    },
-];
 
 fn median(mut times: Vec<Duration>) -> Duration {
     times.sort_unstable();
@@ -80,51 +51,37 @@ fn main() {
             .collect();
         let total_bytes: usize = inputs.iter().map(String::len).sum();
 
+        let engines = family.engines(&interp, &vm);
+
         // Identical trees first; a faster wrong parser is no parser.
         for input in &inputs {
-            let reference = interp.parse(input).expect("interp parses").to_sexpr();
-            assert_eq!(
-                vm.parse(input).expect("vm parses").to_sexpr(),
-                reference,
-                "{}: vm tree diverged",
-                family.name
-            );
-            assert_eq!(
-                (family.generated)(input).expect("codegen parses").to_sexpr(),
-                reference,
-                "{}: generated tree diverged",
-                family.name
-            );
+            let reference = parse(&interp, input).to_sexpr();
+            for (name, engine) in &engines[1..] {
+                assert_eq!(
+                    parse(*engine, input).to_sexpr(),
+                    reference,
+                    "{}: {name} tree diverged",
+                    family.name
+                );
+            }
         }
 
         // Paired-interleaved timing: one warmup round, then `runs` rounds
         // of interp → vm → generated over the whole input set.
-        let mut t_interp = Vec::with_capacity(knobs.runs);
-        let mut t_vm = Vec::with_capacity(knobs.runs);
-        let mut t_gen = Vec::with_capacity(knobs.runs);
+        let mut times: [Vec<Duration>; 3] = Default::default();
         for round in 0..=knobs.runs {
-            let (di, _) = time_once(|| {
-                for i in &inputs {
-                    std::hint::black_box(interp.parse(i).expect("parses"));
+            for (e, (_, engine)) in engines.iter().enumerate() {
+                let (d, _) = time_once(|| {
+                    for i in &inputs {
+                        std::hint::black_box(parse(*engine, i));
+                    }
+                });
+                if round > 0 {
+                    times[e].push(d);
                 }
-            });
-            let (dv, _) = time_once(|| {
-                for i in &inputs {
-                    std::hint::black_box(vm.parse(i).expect("parses"));
-                }
-            });
-            let (dg, _) = time_once(|| {
-                for i in &inputs {
-                    std::hint::black_box((family.generated)(i).expect("parses"));
-                }
-            });
-            if round > 0 {
-                t_interp.push(di);
-                t_vm.push(dv);
-                t_gen.push(dg);
             }
         }
-        let (mi, mv, mg) = (median(t_interp), median(t_vm), median(t_gen));
+        let [mi, mv, mg] = times.map(median);
         rows.push(vec![
             family.name.to_owned(),
             ms(mi),

@@ -26,6 +26,71 @@
 
 use std::time::{Duration, Instant};
 
+use modpeg_core::{Diagnostics, Grammar};
+use modpeg_interp::{CompiledGrammar, Engine};
+use modpeg_vm::VmProgram;
+
+/// One grammar the engine figures measure: how to elaborate it, its two
+/// seeded document generators, and its build-time generated parser.
+pub struct Family {
+    /// The grammar's name in reports.
+    pub name: &'static str,
+    /// Elaborates the grammar from its module sources.
+    pub grammar: fn() -> Result<Grammar, Diagnostics>,
+    /// Seeded document generator (seed, target bytes).
+    pub workload: fn(u64, usize) -> String,
+    /// Seeded lexical-heavy document generator (long identifiers,
+    /// numerals, comments and spacing).
+    pub lexical: fn(u64, usize) -> String,
+    /// The build-time generated parser.
+    pub generated: &'static dyn Engine,
+}
+
+/// The grammars every engine figure covers.
+pub const FAMILIES: &[Family] = &[
+    Family {
+        name: "calc",
+        grammar: modpeg_grammars::calc_grammar,
+        workload: modpeg_workload::calc_expression,
+        lexical: modpeg_workload::calc_lexical,
+        generated: &modpeg_grammars::generated::calc::GeneratedEngine,
+    },
+    Family {
+        name: "json",
+        grammar: modpeg_grammars::json_grammar,
+        workload: modpeg_workload::json_document,
+        lexical: modpeg_workload::json_lexical,
+        generated: &modpeg_grammars::generated::json::GeneratedEngine,
+    },
+    Family {
+        name: "java",
+        grammar: modpeg_grammars::java_grammar,
+        workload: modpeg_workload::java_program,
+        lexical: modpeg_workload::java_lexical,
+        generated: &modpeg_grammars::generated::java::GeneratedEngine,
+    },
+    Family {
+        name: "c",
+        grammar: modpeg_grammars::c_grammar,
+        workload: modpeg_workload::c_program,
+        lexical: modpeg_workload::c_lexical,
+        generated: &modpeg_grammars::generated::c::GeneratedEngine,
+    },
+];
+
+impl Family {
+    /// The three compiled engines for this grammar, labelled: the
+    /// interpreter and the bytecode machine (both at full optimization)
+    /// and the generated parser.
+    pub fn engines<'a>(
+        &self,
+        interp: &'a CompiledGrammar,
+        vm: &'a VmProgram,
+    ) -> [(&'static str, &'a dyn Engine); 3] {
+        [("interp", interp), ("vm", vm), ("codegen", self.generated)]
+    }
+}
+
 /// Times one execution of `f`.
 pub fn time_once<R>(mut f: impl FnMut() -> R) -> (Duration, R) {
     let t0 = Instant::now();

@@ -42,8 +42,8 @@ use modpeg_conformance::{
 };
 use modpeg_core::transform::TuningPlan;
 use modpeg_core::Grammar;
-use modpeg_interp::{CompiledGrammar, OptConfig};
-use modpeg_runtime::{GovernorLimits, ParseFault};
+use modpeg_interp::{CompiledGrammar, Engine, OptConfig, ParseOptions};
+use modpeg_runtime::{Governor, GovernorLimits, ParseFault};
 use modpeg_session::ParseSession;
 use modpeg_telemetry::{export, mask, MetricsRegistry, ProfileDiff, Telemetry, WorkloadProfile};
 
@@ -304,6 +304,38 @@ fn vm_planned(
     }
 }
 
+/// Builds the `--engine` selection — the interpreter or the bytecode
+/// machine — under `cfg` and an optional tuning plan.
+fn build_engine(
+    kind: EngineKind,
+    grammar: &Grammar,
+    cfg: OptConfig,
+    plan: Option<&TuningPlan>,
+) -> Result<Box<dyn Engine>, CliError> {
+    Ok(match kind {
+        EngineKind::Vm => Box::new(vm_planned(grammar, cfg, plan)?),
+        _ => Box::new(compile_planned(grammar, cfg, plan)?),
+    })
+}
+
+/// The governor the limit flags ask for; `None` parses ungoverned.
+fn governor(args: &Args) -> Option<Governor> {
+    let limits = governor_limits(args);
+    (!limits.is_unlimited()).then(|| limits.governor())
+}
+
+/// Maps a failed parse to its exit class: a syntax error is a verdict
+/// on the input, an abort names the limit and the steps taken.
+fn fault_error(fault: ParseFault, gov: Option<&Governor>, what: &str) -> CliError {
+    match fault {
+        ParseFault::Syntax(e) => CliError::Failure(e.to_string()),
+        ParseFault::Abort(kind) => CliError::Abort(format!(
+            "{what} aborted after {} step(s): {kind}",
+            gov.map_or(0, Governor::steps)
+        )),
+    }
+}
+
 fn cmd_check(args: &Args) -> Result<(), CliError> {
     let grammar = load_grammar(args)?;
     if args.input.is_some() {
@@ -340,37 +372,20 @@ fn check_input(args: &Args, grammar: &Grammar) -> Result<(), CliError> {
     let input =
         std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
     let engine = parse_engine(args)?;
-    let limits = governor_limits(args);
-
-    let compiled = compile(grammar, OptConfig::all())?;
-    let mut policy = compiled.recover_policy();
+    let engine = build_engine(engine, grammar, OptConfig::all(), None)?;
+    let mut policy = engine.recover_policy();
     if let Some(n) = args.max_errors {
         policy = policy.with_max_errors(n);
     }
-
-    let abort = |gov: &modpeg_runtime::Governor, kind: modpeg_runtime::ParseAbort| {
-        CliError::Abort(format!(
-            "resilient parse aborted after {} step(s): {kind}",
-            gov.steps()
-        ))
+    let gov = governor(args);
+    let opts = ParseOptions {
+        governor: gov.as_ref(),
+        telemetry: None,
     };
-    let rec = if engine == EngineKind::Vm {
-        let program =
-            modpeg_vm::VmProgram::full(grammar).map_err(|e| CliError::Internal(e.to_string()))?;
-        if limits.is_unlimited() {
-            program.parse_resilient(&input, &policy)
-        } else {
-            let gov = limits.governor();
-            let (result, _) = program.parse_resilient_governed(&input, &policy, &gov);
-            result.map_err(|kind| abort(&gov, kind))?
-        }
-    } else if limits.is_unlimited() {
-        compiled.parse_resilient(&input, &policy)
-    } else {
-        let gov = limits.governor();
-        let (result, _) = compiled.parse_resilient_governed(&input, &policy, &gov);
-        result.map_err(|kind| abort(&gov, kind))?
-    };
+    let rec = engine
+        .resilient(&input, &opts, &policy)
+        .0
+        .map_err(|kind| fault_error(ParseFault::Abort(kind), gov.as_ref(), "resilient parse"))?;
 
     let diagnostics = &rec.diagnostics;
     if args.json {
@@ -492,17 +507,9 @@ fn cmd_parse(args: &Args) -> Result<(), CliError> {
         }
         let mut counts = modpeg_runtime::EventCounts::default();
         let t = Instant::now();
-        if engine == EngineKind::Vm {
-            let program = vm_planned(&grammar, OptConfig::all(), plan.as_ref())?;
-            program
-                .parse_events(&input, &mut counts)
-                .map_err(|e| CliError::Failure(e.to_string()))?;
-        } else {
-            let compiled = compile_planned(&grammar, OptConfig::all(), plan.as_ref())?;
-            compiled
-                .parse_events(&input, &mut counts)
-                .map_err(|e| CliError::Failure(e.to_string()))?;
-        }
+        let engine = build_engine(engine, &grammar, OptConfig::all(), plan.as_ref())?;
+        let (result, _) = engine.events(&input, &ParseOptions::default(), &mut counts);
+        result.map_err(|fault| fault_error(fault, None, "parse"))?;
         let elapsed = t.elapsed();
         println!(
             "events: {} node(s), {} list(s), {} text leaf(s), {} unit(s), {} absent(s), max depth {}",
@@ -520,52 +527,17 @@ fn cmd_parse(args: &Args) -> Result<(), CliError> {
     } else {
         Telemetry::disabled()
     };
-    let limits = governor_limits(args);
-    let outcome = if engine == EngineKind::Vm {
-        let program = vm_planned(&grammar, OptConfig::all(), plan.as_ref())?;
-        if !limits.is_unlimited() {
-            let gov = limits.governor();
-            let (result, stats) = program.parse_governed_telemetry(&input, &gov, &telem);
-            match result {
-                Ok(tree) => Ok((tree, stats)),
-                Err(ParseFault::Syntax(e)) => Err(CliError::Failure(e.to_string())),
-                Err(ParseFault::Abort(kind)) => Err(CliError::Abort(format!(
-                    "parse aborted after {} step(s): {kind}",
-                    gov.steps()
-                ))),
-            }
-        } else {
-            let (result, stats) = program.parse_with_telemetry(&input, &telem);
-            match result {
-                Ok(tree) => Ok((tree, stats)),
-                Err(e) => Err(CliError::Failure(e.to_string())),
-            }
-        }
-    } else {
-        let compiled = compile_planned(&grammar, OptConfig::all(), plan.as_ref())?;
-        if !limits.is_unlimited() {
-            let gov = limits.governor();
-            let (result, stats) = compiled.parse_governed_telemetry(&input, &gov, &telem);
-            match result {
-                Ok(tree) => Ok((tree, stats)),
-                Err(ParseFault::Syntax(e)) => Err(CliError::Failure(e.to_string())),
-                Err(ParseFault::Abort(kind)) => Err(CliError::Abort(format!(
-                    "parse aborted after {} step(s): {kind}",
-                    gov.steps()
-                ))),
-            }
-        } else {
-            let (result, stats) = compiled.parse_with_telemetry(&input, &telem);
-            match result {
-                Ok(tree) => Ok((tree, stats)),
-                Err(e) => Err(CliError::Failure(e.to_string())),
-            }
-        }
+    let engine = build_engine(engine, &grammar, OptConfig::all(), plan.as_ref())?;
+    let gov = governor(args);
+    let opts = ParseOptions {
+        governor: gov.as_ref(),
+        telemetry: Some(&telem),
     };
+    let (result, stats) = engine.tree(&input, &opts);
     if args.telemetry {
         eprintln!("{}", MetricsRegistry::from_report(&telem.take_report()));
     }
-    let (tree, stats) = outcome?;
+    let tree = result.map_err(|fault| fault_error(fault, gov.as_ref(), "parse"))?;
     println!("{}", tree.to_sexpr());
     if args.stats {
         eprintln!("engine: {engine_name}");
@@ -679,40 +651,23 @@ fn cmd_profile_run(args: &Args) -> Result<(), CliError> {
         }
         telem = telem.with_sampling(n);
     }
-    let limits = governor_limits(args);
-    let note = |result: Result<(), ParseFault>, steps: Option<u64>| match result {
+    let gov = governor(args);
+    let opts = ParseOptions {
+        governor: gov.as_ref(),
+        telemetry: Some(&telem),
+    };
+    let (result, _) = build_engine(engine, &grammar, cfg, None)?.tree(&input, &opts);
+    match result {
         Err(ParseFault::Abort(kind)) => {
             // The profile of an aborted run is exactly what the flags
             // asked to see; note the abort and keep going.
             eprintln!(
                 "note: parse aborted after {} step(s): {kind}",
-                steps.unwrap_or(0)
+                gov.as_ref().map_or(0, Governor::steps)
             );
         }
         Err(ParseFault::Syntax(e)) => eprintln!("note: input did not fully parse: {e}"),
-        Ok(()) => {}
-    };
-    if engine == EngineKind::Vm {
-        let program = modpeg_vm::VmProgram::compile(&grammar, cfg)
-            .map_err(|e| CliError::Internal(e.to_string()))?;
-        if !limits.is_unlimited() {
-            let gov = limits.governor();
-            let (result, _) = program.parse_governed_telemetry(&input, &gov, &telem);
-            note(result.map(drop), Some(gov.steps()));
-        } else {
-            let (result, _) = program.parse_with_telemetry(&input, &telem);
-            note(result.map(drop).map_err(ParseFault::Syntax), None);
-        }
-    } else {
-        let compiled = compile(&grammar, cfg)?;
-        if !limits.is_unlimited() {
-            let gov = limits.governor();
-            let (result, _) = compiled.parse_governed_telemetry(&input, &gov, &telem);
-            note(result.map(drop), Some(gov.steps()));
-        } else {
-            let (result, _) = compiled.parse_with_telemetry(&input, &telem);
-            note(result.map(drop).map_err(ParseFault::Syntax), None);
-        }
+        Ok(_) => {}
     }
     let report = telem.take_report();
     if let Some(path) = &args.record {

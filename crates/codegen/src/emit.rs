@@ -664,8 +664,9 @@ impl<'g> Emitter<'g> {
 // Include this file inside a dedicated module, e.g.
 // `pub mod parser {{ include!(concat!(env!("OUT_DIR"), "/x_parser.rs")); }}`.
 
+use modpeg_interp::engine::{{self, Engine, Evaluator, Output, ParseOptions, Parsed}};
 use modpeg_runtime::{{
-    recover, scan, ChunkMemo, Fail, Failures, Governor, Input, MemoAnswer, MemoTable, NodeKind,
+    scan, ChunkMemo, EventSink, Fail, Failures, Governor, Input, MemoAnswer, MemoTable, NodeKind,
     Out, ParseAbort, ParseError, ParseFault, RecoverPolicy, Recovered, ScopedState, Span, Stats,
     SyncSet, SyntaxTree, Value, DEFAULT_MAX_DEPTH,
 }};
@@ -691,9 +692,6 @@ pub struct Parser<'i> {{
     failures: Failures,
     stats: Stats,
     suppress: u32,
-    /// Whether semantic values are built in the memo's arena (default)
-    /// or as individually heap-allocated trees (the legacy entry points).
-    use_arena: bool,
     kinds: Vec<NodeKind>,
     gov: Option<&'i Governor>,
     aborted: Option<ParseAbort>,
@@ -717,7 +715,6 @@ impl<'i> Parser<'i> {{
             failures: Failures::new(),
             stats: Stats::default(),
             suppress: 0,
-            use_arena: true,
             kinds: K.iter().map(NodeKind::new).collect(),
             gov: None,
             aborted: None,
@@ -877,48 +874,18 @@ impl<'i> Parser<'i> {{
     fn make_node(&mut self, kind: usize, children: Vec<Value>, span: Option<Span>) -> Value {{
         self.stats.nodes_built += 1;
         let k = self.kinds[kind].clone();
-        if self.use_arena {{
-            self.stats.value_bytes += (modpeg_runtime::Arena::NODE_BYTES
-                + children.len() * std::mem::size_of::<Value>()) as u64;
-            return Value::ArenaNode(self.memo.arena_mut().alloc_node(k, children, span));
-        }}
-        self.stats.value_bytes += (std::mem::size_of::<modpeg_runtime::Node>()
-            + children.capacity() * std::mem::size_of::<Value>()) as u64;
-        match span {{
-            Some(s) => Value::Node(std::rc::Rc::new(modpeg_runtime::Node::with_span(k, children, s))),
-            None => Value::Node(std::rc::Rc::new(modpeg_runtime::Node::new(k, children))),
-        }}
+        self.stats.value_bytes += (modpeg_runtime::Arena::NODE_BYTES
+            + children.len() * std::mem::size_of::<Value>()) as u64;
+        Value::ArenaNode(self.memo.arena_mut().alloc_node(k, children, span))
     }}
 
     fn make_list(&mut self, items: Vec<Value>) -> Value {{
-        if self.use_arena {{
-            let items = if items
-                .iter()
-                .any(|v| matches!(v, Value::List(_) | Value::ArenaList(_)))
-            {{
-                let arena = self.memo.arena();
-                let mut flat = Vec::with_capacity(items.len());
-                for v in items {{
-                    match v {{
-                        Value::List(l) => flat.extend(l.iter().cloned()),
-                        Value::ArenaList(r) => flat.extend(arena.children(r).iter().cloned()),
-                        other => flat.push(other),
-                    }}
-                }}
-                flat
-            }} else {{
-                items
-            }};
-            self.stats.lists_built += 1;
-            self.stats.value_bytes += (modpeg_runtime::Arena::NODE_BYTES
-                + items.len() * std::mem::size_of::<Value>()) as u64;
-            return Value::ArenaList(self.memo.arena_mut().alloc_list(items));
-        }}
-        let items = if items.iter().any(|v| matches!(v, Value::List(_))) {{
+        let items = if items.iter().any(|v| matches!(v, Value::ArenaList(_))) {{
+            let arena = self.memo.arena();
             let mut flat = Vec::with_capacity(items.len());
             for v in items {{
                 match v {{
-                    Value::List(l) => flat.extend(l.iter().cloned()),
+                    Value::ArenaList(r) => flat.extend(arena.children(r).iter().cloned()),
                     other => flat.push(other),
                 }}
             }}
@@ -927,19 +894,9 @@ impl<'i> Parser<'i> {{
             items
         }};
         self.stats.lists_built += 1;
-        self.stats.value_bytes += (std::mem::size_of::<Vec<Value>>()
-            + items.capacity() * std::mem::size_of::<Value>()) as u64;
-        Value::list(items)
-    }}
-
-    /// Detaches `value` from the parser's arena before it escapes into a
-    /// [`SyntaxTree`]. Legacy trees pass through as-is.
-    fn materialize(&self, value: Value) -> Value {{
-        if self.use_arena {{
-            self.memo.arena().copy_out(&value)
-        }} else {{
-            value
-        }}
+        self.stats.value_bytes += (modpeg_runtime::Arena::NODE_BYTES
+            + items.len() * std::mem::size_of::<Value>()) as u64;
+        Value::ArenaList(self.memo.arena_mut().alloc_list(items))
     }}
 
     fn normalize_opt(&mut self, o: Out) -> Out {{
@@ -967,172 +924,90 @@ fn state_name<'a>(o: &'a Out, input: &'a str, pos: u32, end: u32) -> &'a str {{
         .unwrap_or(&input[pos as usize..end as usize])
 }}
 
+impl Evaluator for Parser<'_> {{
+    fn eval_root(&mut self, pos: u32, fresh: bool) -> Result<(u32, Value), Fail> {{
+        if fresh {{
+            self.failures.reset();
+        }}
+        self.p{root}(pos)
+    }}
+
+    fn aborted(&self) -> Option<ParseAbort> {{
+        self.aborted
+    }}
+
+    fn note_end(&mut self, end: u32) {{
+        self.note(end, "end of input");
+    }}
+
+    fn error(&self) -> ParseError {{
+        self.failures.to_error(&self.input)
+    }}
+
+    fn materialize(&self, value: Value) -> Value {{
+        self.memo.arena().copy_out(&value)
+    }}
+
+    fn emit(&self, value: &Value, sink: &mut dyn EventSink) {{
+        self.memo.arena().emit_events(value, sink);
+    }}
+}}
+
+/// This grammar's parser as an [`Engine`]: governor, telemetry, and tree,
+/// event or resilient output through one driver.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GeneratedEngine;
+
+impl Engine for GeneratedEngine {{
+    fn parse_with(
+        &self,
+        text: &str,
+        opts: &ParseOptions<'_>,
+        output: Output<'_>,
+    ) -> (Result<Parsed, ParseFault>, Stats) {{
+        if let Some(outcome) = engine::preflight(text, opts, &output) {{
+            return (outcome, Stats::default());
+        }}
+        let mut parser = Parser::new(text);
+        if let Some(gov) = opts.governor {{
+            parser.install_governor(gov);
+        }}
+        if let Some(telem) = opts.telemetry {{
+            parser.install_telemetry(telem);
+        }}
+        let outcome = engine::evaluate(&mut parser, text, output);
+        parser.stats.memo_bytes = parser.memo.retained_bytes();
+        if let Some(gov) = opts.governor {{
+            parser.stats.gov_ticks = gov.steps();
+            parser.stats.gov_stride_refills = gov.stride_refills();
+            parser.telem.gov_ticks(gov.steps(), gov.stride_refills());
+        }}
+        (outcome, parser.stats)
+    }}
+
+    fn recover_policy(&self) -> RecoverPolicy {{
+        recover_policy()
+    }}
+}}
+
 /// Parses `text`, requiring full input consumption.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] describing the farthest failure.
 pub fn parse(text: &str) -> Result<SyntaxTree, ParseError> {{
-    parse_with_stats(text).0
+    engine::ungoverned(GeneratedEngine.tree(text, &ParseOptions::default()).0)
 }}
 
-/// Like [`parse`], also returning runtime statistics.
-pub fn parse_with_stats(text: &str) -> (Result<SyntaxTree, ParseError>, Stats) {{
-    parse_with_telemetry(text, &Telemetry::disabled())
+/// Parses `text` with panic-mode error recovery: never fails on
+/// malformed input, returning a partial tree (skipped regions become
+/// `$error` nodes) plus the diagnostics report. One parser (and one
+/// packrat table) lives across all restart attempts, so re-attempting
+/// after an error re-derives nothing that was already memoized.
+pub fn parse_resilient(text: &str, policy: &RecoverPolicy) -> Recovered<SyntaxTree> {{
+    let (outcome, _) = GeneratedEngine.resilient(text, &ParseOptions::default(), policy);
+    engine::ungoverned_recovered(outcome)
 }}
-
-/// Like [`parse_with_stats`], with telemetry hooks reporting to `telem`
-/// (production spans, memo traffic, backtracks). A disabled handle
-/// reduces every hook to a single branch.
-pub fn parse_with_telemetry(
-    text: &str,
-    telem: &Telemetry,
-) -> (Result<SyntaxTree, ParseError>, Stats) {{
-    if text.len() > u32::MAX as usize {{
-        // Spans and memo positions are 32-bit; refuse cleanly.
-        let input = Input::new("");
-        let mut failures = Failures::new();
-        failures.note(0, "input smaller than 4 GiB");
-        return (Err(failures.to_error(&input)), Stats::default());
-    }}
-    let mut parser = Parser::new(text);
-    parser.install_telemetry(telem);
-    let r = parser.p{root}(0);
-    let outcome = match r {{
-        Ok((end, value)) if end == parser.input.len() => {{
-            Ok(SyntaxTree::new(text, parser.materialize(value)))
-        }}
-        Ok((end, _)) => {{
-            parser.note(end, "end of input");
-            Err(parser.failures.to_error(&parser.input))
-        }}
-        Err(_) => Err(parser.failures.to_error(&parser.input)),
-    }};
-    parser.stats.memo_bytes = parser.memo.retained_bytes();
-    (outcome, parser.stats)
-}}
-
-/// Like [`parse`], but building legacy heap-allocated values instead of
-/// arena-backed ones. Produces structurally identical trees — the entry
-/// exists for the equivalence tests and the heap experiments.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] describing the farthest failure.
-pub fn parse_legacy(text: &str) -> Result<SyntaxTree, ParseError> {{
-    if text.len() > u32::MAX as usize {{
-        let input = Input::new("");
-        let mut failures = Failures::new();
-        failures.note(0, "input smaller than 4 GiB");
-        return Err(failures.to_error(&input));
-    }}
-    let mut parser = Parser::new(text);
-    parser.use_arena = false;
-    let r = parser.p{root}(0);
-    match r {{
-        Ok((end, value)) if end == parser.input.len() => Ok(SyntaxTree::new(text, value)),
-        Ok((end, _)) => {{
-            parser.note(end, "end of input");
-            Err(parser.failures.to_error(&parser.input))
-        }}
-        Err(_) => Err(parser.failures.to_error(&parser.input)),
-    }}
-}}
-
-/// Parses `text` in SAX event mode: on a full match the semantic tree is
-/// streamed to `sink` as [`modpeg_runtime::ParseEvent`]s straight from the
-/// parser's arena — no owned tree is ever materialized. No events are
-/// delivered for failing parses.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] describing the farthest failure.
-pub fn parse_events(
-    text: &str,
-    sink: &mut dyn modpeg_runtime::EventSink,
-) -> Result<(), ParseError> {{
-    if text.len() > u32::MAX as usize {{
-        let input = Input::new("");
-        let mut failures = Failures::new();
-        failures.note(0, "input smaller than 4 GiB");
-        return Err(failures.to_error(&input));
-    }}
-    let mut parser = Parser::new(text);
-    let r = parser.p{root}(0);
-    match r {{
-        Ok((end, value)) if end == parser.input.len() => {{
-            parser.memo.arena().emit_events(&value, sink);
-            Ok(())
-        }}
-        Ok((end, _)) => {{
-            parser.note(end, "end of input");
-            Err(parser.failures.to_error(&parser.input))
-        }}
-        Err(_) => Err(parser.failures.to_error(&parser.input)),
-    }}
-}}
-
-/// Parses `text` under `gov`'s resource limits, requiring full input
-/// consumption.
-///
-/// With an untripped governor and no limit exhausted this behaves exactly
-/// like [`parse_with_stats`]; when a budget runs out it returns
-/// [`ParseFault::Abort`] instead of looping, overflowing the stack, or
-/// growing the memo table without bound. The abort check runs before the
-/// nominal outcome: a parse that "succeeded" around an aborted
-/// sub-expression (e.g. under a `!p` predicate) is still reported as
-/// aborted.
-pub fn parse_governed(text: &str, gov: &Governor) -> (Result<SyntaxTree, ParseFault>, Stats) {{
-    parse_governed_telemetry(text, gov, &Telemetry::disabled())
-}}
-
-/// Like [`parse_governed`], with telemetry hooks reporting to `telem`
-/// (including governor tick totals and abort events).
-pub fn parse_governed_telemetry(
-    text: &str,
-    gov: &Governor,
-    telem: &Telemetry,
-) -> (Result<SyntaxTree, ParseFault>, Stats) {{
-    if text.len() > u32::MAX as usize {{
-        // Spans and memo positions are 32-bit; refuse cleanly.
-        let input = Input::new("");
-        let mut failures = Failures::new();
-        failures.note(0, "input smaller than 4 GiB");
-        return (
-            Err(ParseFault::Syntax(failures.to_error(&input))),
-            Stats::default(),
-        );
-    }}
-    // A pre-cancelled or pre-expired governor aborts before any work.
-    if let Err(kind) = gov.poll() {{
-        return (Err(ParseFault::Abort(kind)), Stats::default());
-    }}
-    let mut parser = Parser::new(text);
-    parser.install_governor(gov);
-    parser.install_telemetry(telem);
-    let r = parser.p{root}(0);
-    let outcome = if let Some(kind) = parser.aborted {{
-        Err(ParseFault::Abort(kind))
-    }} else {{
-        match r {{
-            Ok((end, value)) if end == parser.input.len() => {{
-                Ok(SyntaxTree::new(text, parser.materialize(value)))
-            }}
-            Ok((end, _)) => {{
-                parser.note(end, "end of input");
-                Err(ParseFault::Syntax(parser.failures.to_error(&parser.input)))
-            }}
-            Err(_) => Err(ParseFault::Syntax(parser.failures.to_error(&parser.input))),
-        }}
-    }};
-    parser.stats.memo_bytes = parser.memo.retained_bytes();
-    parser.stats.gov_ticks = gov.steps();
-    parser.stats.gov_stride_refills = gov.stride_refills();
-    parser.telem.gov_ticks(gov.steps(), gov.stride_refills());
-    (outcome, parser.stats)
-}}
-
-// ----- resilient parsing (panic-mode error recovery) -----
 
 /// Restart synchronization bytes: FIRST(root) plus every `@recover`
 /// byte, computed from the *source* grammar before any transform (so
@@ -1148,129 +1023,6 @@ const CONSUME: &[u8] = &[{consume}];
 pub fn recover_policy() -> RecoverPolicy {{
     RecoverPolicy::new(SyncSet::from_bytes(RESTART.iter().copied()))
         .with_consume(SyncSet::from_bytes(CONSUME.iter().copied()))
-}}
-
-/// One restart attempt for the resilient driver: evaluate the root at
-/// `pos` — resetting the failure accumulator first when the driver just
-/// consumed a diagnostic — and report the outcome with the semantic
-/// value detached from the parser's arena.
-fn resilient_attempt(parser: &mut Parser<'_>, pos: u32, fresh: bool) -> recover::Attempt {{
-    if fresh {{
-        parser.failures.reset();
-    }}
-    let end = match parser.p{root}(pos) {{
-        Ok((end, value)) => Some((end, parser.materialize(value))),
-        Err(_) => None,
-    }};
-    recover::Attempt {{
-        end,
-        error: parser.failures.to_error(&parser.input),
-    }}
-}}
-
-/// The resilient report for an input too large for 32-bit spans: one
-/// truncated diagnostic, an empty tree.
-fn oversize_recovered() -> Recovered<SyntaxTree> {{
-    let input = Input::new("");
-    let mut failures = Failures::new();
-    failures.note(0, "input smaller than 4 GiB");
-    let diagnostics = recover::Diagnostics {{
-        errors: vec![recover::Diagnostic {{
-            error: failures.to_error(&input),
-            skipped: Span::point(0),
-        }}],
-        truncated: true,
-        failures_dropped: 0,
-    }};
-    Recovered {{
-        tree: SyntaxTree::new("", Value::Unit),
-        diagnostics,
-    }}
-}}
-
-/// Parses `text` with panic-mode error recovery: never fails on
-/// malformed input, returning a partial tree (skipped regions become
-/// `$error` nodes) plus the diagnostics report. One parser (and one
-/// packrat table) lives across all restart attempts, so re-attempting
-/// after an error re-derives nothing that was already memoized.
-pub fn parse_resilient(text: &str, policy: &RecoverPolicy) -> Recovered<SyntaxTree> {{
-    parse_resilient_with_stats(text, policy).0
-}}
-
-/// Like [`parse_resilient`], also returning the run's [`Stats`].
-pub fn parse_resilient_with_stats(
-    text: &str,
-    policy: &RecoverPolicy,
-) -> (Recovered<SyntaxTree>, Stats) {{
-    if text.len() > u32::MAX as usize {{
-        return (oversize_recovered(), Stats::default());
-    }}
-    let mut parser = Parser::new(text);
-    let input = Input::new(text);
-    let (value, diagnostics) = recover::drive_infallible(&input, policy, |pos, fresh| {{
-        resilient_attempt(&mut parser, pos, fresh)
-    }});
-    parser.stats.memo_bytes = parser.memo.retained_bytes();
-    (
-        Recovered {{
-            tree: SyntaxTree::new(text, value),
-            diagnostics,
-        }},
-        parser.stats,
-    )
-}}
-
-/// The governed counterpart of [`parse_resilient`]: the never-die
-/// guarantee holds up to `gov`'s resource limits.
-///
-/// # Errors
-///
-/// Returns the abort kind when a limit stopped the run; syntax errors
-/// never fail a resilient parse.
-pub fn parse_resilient_governed(
-    text: &str,
-    policy: &RecoverPolicy,
-    gov: &Governor,
-) -> (Result<Recovered<SyntaxTree>, ParseAbort>, Stats) {{
-    if text.len() > u32::MAX as usize {{
-        return (Ok(oversize_recovered()), Stats::default());
-    }}
-    if let Err(kind) = gov.poll() {{
-        return (Err(kind), Stats::default());
-    }}
-    let mut parser = Parser::new(text);
-    parser.install_governor(gov);
-    let input = Input::new(text);
-    let driven = recover::drive(&input, policy, |pos, fresh| {{
-        let attempt = resilient_attempt(&mut parser, pos, fresh);
-        match parser.aborted {{
-            Some(kind) => Err(kind),
-            None => Ok(attempt),
-        }}
-    }});
-    parser.stats.memo_bytes = parser.memo.retained_bytes();
-    parser.stats.gov_ticks = gov.steps();
-    parser.stats.gov_stride_refills = gov.stride_refills();
-    let outcome = driven.map(|(value, diagnostics)| Recovered {{
-        tree: SyntaxTree::new(text, value),
-        diagnostics,
-    }});
-    (outcome, parser.stats)
-}}
-
-/// The event-mode counterpart of [`parse_resilient`]: streams the
-/// recovered tree as [`modpeg_runtime::ParseEvent`]s, with skipped
-/// regions bracketed by `ErrorStart`/`ErrorEnd`. The driver assembles
-/// the fragments first and replays them, so every engine emits the
-/// identical stream.
-pub fn parse_resilient_events(
-    text: &str,
-    policy: &RecoverPolicy,
-    sink: &mut dyn modpeg_runtime::EventSink,
-) -> recover::Diagnostics {{
-    let rec = parse_resilient(text, policy);
-    recover::emit_recovered_events(rec.tree.root(), sink);
-    rec.diagnostics
 }}
 "#,
             root = root.0,

@@ -2,16 +2,17 @@
 //!
 //! The parser *generator* half of the toolkit: emits a self-contained Rust
 //! module implementing a packrat parser for an elaborated grammar, exactly
-//! as Rats! emits Java classes. The generated module depends only on
-//! `modpeg-runtime` and `modpeg-telemetry` and exposes:
+//! as Rats! emits Java classes. The generated module depends on
+//! `modpeg-runtime`, `modpeg-telemetry` and, for the shared
+//! [`Engine`](modpeg_interp::Engine) trait and parse driver,
+//! `modpeg-interp`. It exposes:
 //!
 //! ```text
 //! pub struct Parser<'i>;
+//! pub struct GeneratedEngine;   // impl Engine: governor, telemetry, tree/events/resilient
 //! pub fn parse(text: &str) -> Result<SyntaxTree, ParseError>;
-//! pub fn parse_with_stats(text: &str) -> (Result<SyntaxTree, ParseError>, Stats);
-//! pub fn parse_with_telemetry(text: &str, telem: &Telemetry) -> (Result<SyntaxTree, ParseError>, Stats);
-//! pub fn parse_governed(text: &str, gov: &Governor) -> (Result<SyntaxTree, ParseFault>, Stats);
-//! pub fn parse_governed_telemetry(text: &str, gov: &Governor, telem: &Telemetry) -> (Result<SyntaxTree, ParseFault>, Stats);
+//! pub fn parse_resilient(text: &str, policy: &RecoverPolicy) -> Recovered<SyntaxTree>;
+//! pub fn recover_policy() -> RecoverPolicy;
 //! ```
 //!
 //! Generated parsers always use the fully optimized strategy set (grammar
@@ -129,7 +130,7 @@ mod tests {
         let src = generate(&calc(), "calc").unwrap();
         assert!(src.contains("pub struct Parser"));
         assert!(src.contains("pub fn parse("));
-        assert!(src.contains("pub fn parse_with_stats"));
+        assert!(src.contains("impl Engine for GeneratedEngine"));
         assert!(src.contains("fn p0"), "production functions present");
         assert!(src.contains("ChunkMemo::new(N_SLOTS"));
         // Left recursion compiled to the fold strategy.

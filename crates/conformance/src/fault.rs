@@ -31,9 +31,9 @@
 use std::rc::Rc;
 
 use modpeg_baseline::BacktrackParser;
-use modpeg_interp::{CompiledGrammar, OptConfig};
+use modpeg_interp::{CompiledGrammar, Engine, OptConfig, Output, ParseOptions, Parsed};
 use modpeg_runtime::{
-    scan, CancelToken, ChunkMemo, Governor, ParseAbort, ParseFault, Stats, SyntaxTree,
+    scan, CancelToken, ChunkMemo, Governor, ParseAbort, ParseFault, SyntaxTree,
     DEFAULT_MAX_DEPTH,
 };
 use modpeg_session::ParseSession;
@@ -161,6 +161,18 @@ pub fn fault_grammar(id: GrammarId, cfg: &FaultConfig) -> Result<FaultReport, St
     Ok(report)
 }
 
+/// A governed tree parse of `doc` with (and returning) `memo`.
+fn governed_incremental(
+    parser: &CompiledGrammar,
+    doc: &str,
+    memo: ChunkMemo,
+    gov: &Governor,
+) -> (Result<SyntaxTree, ParseFault>, modpeg_runtime::Stats, ChunkMemo) {
+    let (r, stats, memo) =
+        parser.parse_incremental(doc, memo, &ParseOptions::governed(gov), Output::Tree);
+    (r.map(Parsed::into_tree), stats, memo)
+}
+
 /// Runs every injection family against one workload document.
 #[allow(clippy::too_many_arguments)]
 fn inject_document(
@@ -194,7 +206,7 @@ fn inject_document(
     // ------------------------------------------------------------------
     let probe = Governor::new();
     let (r, probe_stats, _) =
-        incremental.parse_incremental_governed(doc, ChunkMemo::new(slots, len), &probe);
+        governed_incremental(incremental, doc, ChunkMemo::new(slots, len), &probe);
     let total = probe.steps();
     if !matches_reference(&r, &ref_sexpr) {
         report.violations.push(format!(
@@ -213,7 +225,7 @@ fn inject_document(
 
         let gov = Governor::new().with_fuel(fuel);
         let (r, _, memo) =
-            incremental.parse_incremental_governed(doc, ChunkMemo::new(slots, len), &gov);
+            governed_incremental(incremental, doc, ChunkMemo::new(slots, len), &gov);
         if abort_kind(&r) != Some(ParseAbort::FuelExhausted) {
             report
                 .violations
@@ -235,7 +247,7 @@ fn inject_document(
         }
         // Semantic memo soundness: a retry on the aborted table must
         // reproduce the reference tree exactly.
-        let (r, _, memo) = incremental.parse_incremental_governed(doc, memo, &Governor::new());
+        let (r, _, memo) = governed_incremental(incremental, doc, memo, &Governor::new());
         if !matches_reference(&r, &ref_sexpr) {
             report.violations.push(format!(
                 "{tag}: retry on aborted memo diverged: {}",
@@ -250,7 +262,7 @@ fn inject_document(
         if !incremental.uses_state() {
             let gov = Governor::new().with_fuel(fuel);
             let (_, _, mut memo) =
-                incremental.parse_incremental_governed(doc, ChunkMemo::new(slots, len), &gov);
+                governed_incremental(incremental, doc, ChunkMemo::new(slots, len), &gov);
             let (range, insert) = random_edit(doc, alphabet, rng);
             let mut edited = doc.to_owned();
             edited.replace_range(range.clone(), &insert);
@@ -265,7 +277,7 @@ fn inject_document(
                     .violations
                     .push(format!("{tag}: after edit {range:?} -> {insert:?}: {v}"));
             }
-            let (r, _, _) = incremental.parse_incremental_governed(&edited, memo, &Governor::new());
+            let (r, _, _) = governed_incremental(incremental, &edited, memo, &Governor::new());
             let scratch = incremental.parse(&edited);
             // Verdict and tree must agree; failure offsets inside reused
             // regions are documented to be coarser and are not compared.
@@ -293,7 +305,7 @@ fn inject_document(
         report.degradations += 1;
         let gov = Governor::new().with_memo_budget(budget.max(1));
         let (r, _, _) =
-            incremental.parse_incremental_governed(doc, ChunkMemo::new(slots, len), &gov);
+            governed_incremental(incremental, doc, ChunkMemo::new(slots, len), &gov);
         let ok = matches_reference(&r, &ref_sexpr)
             || abort_kind(&r) == Some(ParseAbort::MemoBudget);
         if !ok {
@@ -306,17 +318,15 @@ fn inject_document(
     }
 
     // ------------------------------------------------------------------
-    // Generated parser: fuel, depth, memo-budget, and cancellation.
+    // Generated parser and bytecode machine: fuel, depth, memo-budget,
+    // and cancellation.
     // ------------------------------------------------------------------
-    if cfg.engines.codegen {
-        inject_codegen(id, &ref_sexpr, doc, doc_no, cfg, rng, report);
-    }
-
-    // ------------------------------------------------------------------
-    // Bytecode machine: the same abort contract as the generated parser.
-    // ------------------------------------------------------------------
-    if let Some(vm) = vm {
-        inject_vm(vm, name, &ref_sexpr, doc, doc_no, cfg, rng, report);
+    let codegen = cfg.engines.codegen.then(|| id.codegen());
+    let compiled = [("codegen", codegen), ("vm", vm.map(|vm| vm as &dyn Engine))];
+    for (label, engine) in compiled {
+        if let Some(engine) = engine {
+            inject_engine(engine, label, name, &ref_sexpr, doc, doc_no, cfg, rng, report);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -398,6 +408,27 @@ fn inject_document(
     }
 }
 
+/// The compiled engines the parity and recovery families inject into,
+/// labelled, in reporting order.
+fn compiled_engines<'a>(
+    id: GrammarId,
+    reference: &'a CompiledGrammar,
+    vm: Option<&'a VmProgram>,
+    cfg: &FaultConfig,
+) -> Vec<(&'static str, &'a dyn Engine)> {
+    let mut engines: Vec<(&'static str, &'a dyn Engine)> = Vec::new();
+    if cfg.engines.opt_levels {
+        engines.push(("interp", reference));
+    }
+    if let Some(vm) = vm {
+        engines.push(("vm", vm));
+    }
+    if cfg.engines.codegen {
+        engines.push(("codegen", id.codegen()));
+    }
+    engines
+}
+
 /// Scalar-vs-vectorized parity under fault injection: at every sampled
 /// fuel point, the bulk class scanner and the forced scalar reference
 /// path must abort identically — the same [`ParseAbort::FuelExhausted`]
@@ -417,46 +448,28 @@ fn inject_scan_parity(
     report: &mut FaultReport,
 ) {
     let name = id.name();
-    type GovernedParse<'a> = Box<dyn Fn(&Governor) -> (Result<SyntaxTree, ParseFault>, Stats) + 'a>;
-    let mut engines: Vec<(&str, GovernedParse<'_>)> = Vec::new();
-    if cfg.engines.opt_levels {
-        engines.push((
-            "interp",
-            Box::new(move |gov: &Governor| reference.parse_governed(doc, gov)),
-        ));
-    }
-    if let Some(vm) = vm {
-        engines.push((
-            "vm",
-            Box::new(move |gov: &Governor| vm.parse_governed(doc, gov)),
-        ));
-    }
-    if cfg.engines.codegen {
-        engines.push((
-            "codegen",
-            Box::new(move |gov: &Governor| id.codegen_parse_governed(doc, gov)),
-        ));
-    }
+    let engines = compiled_engines(id, reference, vm, cfg);
 
     let prior = scan::scalar_forced();
-    for (engine, run) in &engines {
+    let run = |engine: &dyn Engine, gov: &Governor| engine.tree(doc, &ParseOptions::governed(gov));
+    for &(label, engine) in &engines {
         scan::force_scalar(false);
         let probe = Governor::new();
-        let _ = run(&probe);
+        let _ = run(engine, &probe);
         let total = probe.steps();
         for fuel in fuel_points(total, cfg.injections_per_doc, rng) {
             report.injections += 1;
             scan::force_scalar(false);
             let gov_v = Governor::new().with_fuel(fuel);
-            let (rv, sv) = run(&gov_v);
+            let (rv, sv) = run(engine, &gov_v);
             scan::force_scalar(true);
             let gov_s = Governor::new().with_fuel(fuel);
-            let (rs, ss) = run(&gov_s);
+            let (rs, ss) = run(engine, &gov_s);
             if abort_kind(&rv) != Some(ParseAbort::FuelExhausted)
                 || abort_kind(&rs) != Some(ParseAbort::FuelExhausted)
             {
                 report.violations.push(format!(
-                    "{name}/doc{doc_no}/{engine} scan-parity fuel {fuel}/{total}: expected \
+                    "{name}/doc{doc_no}/{label} scan-parity fuel {fuel}/{total}: expected \
                      FuelExhausted in both modes, got vectorized {} / scalar {}",
                     describe(&rv),
                     describe(&rs)
@@ -465,7 +478,7 @@ fn inject_scan_parity(
             }
             if sv != ss || gov_v.steps() != gov_s.steps() {
                 report.violations.push(format!(
-                    "{name}/doc{doc_no}/{engine} scan-parity fuel {fuel}/{total}: vectorized \
+                    "{name}/doc{doc_no}/{label} scan-parity fuel {fuel}/{total}: vectorized \
                      abort ({} comparisons, {} steps) diverged from scalar ({} comparisons, \
                      {} steps)",
                     sv.terminal_comparisons,
@@ -480,7 +493,7 @@ fn inject_scan_parity(
 }
 
 /// Fault injection into the resilient-parsing subsystem: every engine's
-/// `parse_resilient_governed` on a seeded-error copy of `doc` must abort
+/// governed resilient parse of a seeded-error copy of `doc` must abort
 /// with [`ParseAbort::FuelExhausted`] at any starvation fuel point (the
 /// restart driver threads aborts straight through; it never converts one
 /// into a diagnostic), reproduce the ungoverned recovery under an
@@ -505,44 +518,25 @@ fn inject_recovery(
     let ref_rec = reference.parse_resilient(&corrupted, &policy);
     let ref_sexpr = ref_rec.tree.to_sexpr();
 
-    // Engine closures: (ample-probe governed run, fuel-point run).
-    type GovernedRecovery<'a> =
-        Box<dyn Fn(&Governor) -> Result<modpeg_runtime::Recovered<SyntaxTree>, ParseAbort> + 'a>;
-    let mut engines: Vec<(&str, GovernedRecovery<'_>)> = Vec::new();
-    let (text, pol) = (corrupted.as_str(), &policy);
-    if cfg.engines.opt_levels {
-        engines.push((
-            "interp",
-            Box::new(move |gov| reference.parse_resilient_governed(text, pol, gov).0),
-        ));
-    }
-    if let Some(vm) = vm {
-        engines.push((
-            "vm",
-            Box::new(move |gov| vm.parse_resilient_governed(text, pol, gov).0),
-        ));
-    }
-    if cfg.engines.codegen {
-        engines.push((
-            "codegen",
-            Box::new(move |gov| id.codegen_parse_resilient_governed(text, pol, gov).0),
-        ));
-    }
+    let engines = compiled_engines(id, reference, vm, cfg);
+    let run = |engine: &dyn Engine, gov: &Governor| {
+        engine.resilient(&corrupted, &ParseOptions::governed(gov), &policy).0
+    };
 
-    for (engine, run) in &engines {
+    for &(label, engine) in &engines {
         let probe = Governor::new();
-        match run(&probe) {
+        match run(engine, &probe) {
             Ok(rec) if rec.tree.to_sexpr() == ref_sexpr && rec.diagnostics == ref_rec.diagnostics => {}
             Ok(rec) => {
                 report.violations.push(format!(
-                    "{name}/doc{doc_no}/{engine}: unlimited governed recovery diverged: {}",
+                    "{name}/doc{doc_no}/{label}: unlimited governed recovery diverged: {}",
                     clip(&rec.tree.to_sexpr())
                 ));
                 continue;
             }
             Err(kind) => {
                 report.violations.push(format!(
-                    "{name}/doc{doc_no}/{engine}: unlimited governed recovery aborted with {kind:?}"
+                    "{name}/doc{doc_no}/{label}: unlimited governed recovery aborted with {kind:?}"
                 ));
                 continue;
             }
@@ -551,14 +545,14 @@ fn inject_recovery(
 
         for fuel in fuel_points(total, cfg.injections_per_doc, rng) {
             report.injections += 1;
-            match run(&Governor::new().with_fuel(fuel)) {
+            match run(engine, &Governor::new().with_fuel(fuel)) {
                 Err(ParseAbort::FuelExhausted) => {}
                 Err(kind) => report.violations.push(format!(
-                    "{name}/doc{doc_no}/{engine} recovery fuel {fuel}/{total}: expected \
+                    "{name}/doc{doc_no}/{label} recovery fuel {fuel}/{total}: expected \
                      FuelExhausted, got abort {kind:?}"
                 )),
                 Ok(rec) => report.violations.push(format!(
-                    "{name}/doc{doc_no}/{engine} recovery fuel {fuel}/{total}: completed under \
+                    "{name}/doc{doc_no}/{label} recovery fuel {fuel}/{total}: completed under \
                      starvation fuel with {} diagnostic(s)",
                     rec.diagnostics.error_count()
                 )),
@@ -569,10 +563,10 @@ fn inject_recovery(
         let token = CancelToken::new();
         token.cancel();
         let gov = Governor::new().with_cancel(token);
-        match run(&gov) {
+        match run(engine, &gov) {
             Err(ParseAbort::Cancelled) if gov.steps() == 0 => {}
             other => report.violations.push(format!(
-                "{name}/doc{doc_no}/{engine}: pre-cancelled recovery did {} step(s) and \
+                "{name}/doc{doc_no}/{label}: pre-cancelled recovery did {} step(s) and \
                  returned {:?}",
                 gov.steps(),
                 other.map(|rec| clip(&rec.tree.to_sexpr()))
@@ -626,92 +620,13 @@ fn recovery_disagreement(
     None
 }
 
-/// The generated parser's abort contract: fuel, depth, memo-budget, and
-/// cancellation.
-fn inject_codegen(
-    id: GrammarId,
-    ref_sexpr: &str,
-    doc: &str,
-    doc_no: u64,
-    cfg: &FaultConfig,
-    rng: &mut StdRng,
-    report: &mut FaultReport,
-) {
-    let name = id.name();
-    let probe = Governor::new();
-    let (r, gen_stats) = id.codegen_parse_governed(doc, &probe);
-    let total_gen = probe.steps();
-    if !matches_reference(&r, ref_sexpr) {
-        report.violations.push(format!(
-            "{name}/doc{doc_no}: engine `codegen` unlimited governed parse diverged: {}",
-            describe(&r)
-        ));
-        return;
-    }
-
-    for fuel in fuel_points(total_gen, cfg.injections_per_doc, rng) {
-        report.injections += 1;
-        let gov = Governor::new().with_fuel(fuel);
-        let (r, _) = id.codegen_parse_governed(doc, &gov);
-        if abort_kind(&r) != Some(ParseAbort::FuelExhausted)
-            || gov.tripped() != Some(ParseAbort::FuelExhausted)
-        {
-            report.violations.push(format!(
-                "{name}/doc{doc_no}/codegen fuel {fuel}/{total_gen}: expected FuelExhausted \
-                 (tripped {:?}), got {}",
-                gov.tripped(),
-                describe(&r)
-            ));
-        }
-    }
-
-    report.degradations += 1;
-    let gov = Governor::new().with_max_depth(8);
-    let (r, _) = id.codegen_parse_governed(doc, &gov);
-    let ok = matches_reference(&r, ref_sexpr) || abort_kind(&r) == Some(ParseAbort::DepthExceeded);
-    if !ok {
-        report.violations.push(format!(
-            "{name}/doc{doc_no}: codegen depth ceiling 8: expected reference tree or \
-             DepthExceeded abort, got {}",
-            describe(&r)
-        ));
-    }
-
-    for budget in [gen_stats.memo_bytes / 2, 64] {
-        report.degradations += 1;
-        let gov = Governor::new().with_memo_budget(budget.max(1));
-        let (r, _) = id.codegen_parse_governed(doc, &gov);
-        let ok =
-            matches_reference(&r, ref_sexpr) || abort_kind(&r) == Some(ParseAbort::MemoBudget);
-        if !ok {
-            report.violations.push(format!(
-                "{name}/doc{doc_no}: codegen memo budget {budget}: expected reference tree or \
-                 MemoBudget abort, got {}",
-                describe(&r)
-            ));
-        }
-    }
-
-    report.injections += 1;
-    let token = CancelToken::new();
-    token.cancel();
-    let gov = Governor::new().with_cancel(token);
-    let (r, _) = id.codegen_parse_governed(doc, &gov);
-    if abort_kind(&r) != Some(ParseAbort::Cancelled) || gov.steps() != 0 {
-        report.violations.push(format!(
-            "{name}/doc{doc_no}: codegen pre-cancelled governor did {} step(s) and returned {}",
-            gov.steps(),
-            describe(&r)
-        ));
-    }
-}
-
-/// The bytecode machine's abort contract — the same checks the generated
-/// parser gets: fuel exhaustion at randomized ticks, a depth ceiling, a
-/// memo-budget ladder, and pre-cancellation.
+/// The abort contract of a compiled engine (the generated parser or the
+/// bytecode machine): fuel exhaustion at randomized ticks, a depth
+/// ceiling, a memo-budget ladder, and pre-cancellation.
 #[allow(clippy::too_many_arguments)] // mirrors `inject_document`, one call site
-fn inject_vm(
-    vm: &VmProgram,
+fn inject_engine(
+    engine: &dyn Engine,
+    label: &str,
     name: &str,
     ref_sexpr: &str,
     doc: &str,
@@ -720,26 +635,27 @@ fn inject_vm(
     rng: &mut StdRng,
     report: &mut FaultReport,
 ) {
+    let run = |gov: &Governor| engine.tree(doc, &ParseOptions::governed(gov));
     let probe = Governor::new();
-    let (r, vm_stats) = vm.parse_governed(doc, &probe);
-    let total_vm = probe.steps();
+    let (r, probe_stats) = run(&probe);
+    let total = probe.steps();
     if !matches_reference(&r, ref_sexpr) {
         report.violations.push(format!(
-            "{name}/doc{doc_no}: engine `vm` unlimited governed parse diverged: {}",
+            "{name}/doc{doc_no}: engine `{label}` unlimited governed parse diverged: {}",
             describe(&r)
         ));
         return;
     }
 
-    for fuel in fuel_points(total_vm, cfg.injections_per_doc, rng) {
+    for fuel in fuel_points(total, cfg.injections_per_doc, rng) {
         report.injections += 1;
         let gov = Governor::new().with_fuel(fuel);
-        let (r, _) = vm.parse_governed(doc, &gov);
+        let (r, _) = run(&gov);
         if abort_kind(&r) != Some(ParseAbort::FuelExhausted)
             || gov.tripped() != Some(ParseAbort::FuelExhausted)
         {
             report.violations.push(format!(
-                "{name}/doc{doc_no}/vm fuel {fuel}/{total_vm}: expected FuelExhausted \
+                "{name}/doc{doc_no}/{label} fuel {fuel}/{total}: expected FuelExhausted \
                  (tripped {:?}), got {}",
                 gov.tripped(),
                 describe(&r)
@@ -748,26 +664,24 @@ fn inject_vm(
     }
 
     report.degradations += 1;
-    let gov = Governor::new().with_max_depth(8);
-    let (r, _) = vm.parse_governed(doc, &gov);
+    let (r, _) = run(&Governor::new().with_max_depth(8));
     let ok = matches_reference(&r, ref_sexpr) || abort_kind(&r) == Some(ParseAbort::DepthExceeded);
     if !ok {
         report.violations.push(format!(
-            "{name}/doc{doc_no}: vm depth ceiling 8: expected reference tree or \
+            "{name}/doc{doc_no}: {label} depth ceiling 8: expected reference tree or \
              DepthExceeded abort, got {}",
             describe(&r)
         ));
     }
 
-    for budget in [vm_stats.memo_bytes / 2, 64] {
+    for budget in [probe_stats.memo_bytes / 2, 64] {
         report.degradations += 1;
-        let gov = Governor::new().with_memo_budget(budget.max(1));
-        let (r, _) = vm.parse_governed(doc, &gov);
+        let (r, _) = run(&Governor::new().with_memo_budget(budget.max(1)));
         let ok =
             matches_reference(&r, ref_sexpr) || abort_kind(&r) == Some(ParseAbort::MemoBudget);
         if !ok {
             report.violations.push(format!(
-                "{name}/doc{doc_no}: vm memo budget {budget}: expected reference tree or \
+                "{name}/doc{doc_no}: {label} memo budget {budget}: expected reference tree or \
                  MemoBudget abort, got {}",
                 describe(&r)
             ));
@@ -778,10 +692,10 @@ fn inject_vm(
     let token = CancelToken::new();
     token.cancel();
     let gov = Governor::new().with_cancel(token);
-    let (r, _) = vm.parse_governed(doc, &gov);
+    let (r, _) = run(&gov);
     if abort_kind(&r) != Some(ParseAbort::Cancelled) || gov.steps() != 0 {
         report.violations.push(format!(
-            "{name}/doc{doc_no}: vm pre-cancelled governor did {} step(s) and returned {}",
+            "{name}/doc{doc_no}: {label} pre-cancelled governor did {} step(s) and returned {}",
             gov.steps(),
             describe(&r)
         ));
@@ -896,16 +810,16 @@ mod tests {
         let parser = CompiledGrammar::compile(&grammar, OptConfig::incremental()).unwrap();
         let probe = Governor::new();
         let memo = ChunkMemo::new(parser.memo_slot_count(), doc.len() as u32);
-        let (r, _, _) = parser.parse_incremental_governed(&doc, memo, &probe);
+        let (r, _, _) = governed_incremental(&parser, &doc, memo, &probe);
         assert!(r.is_ok());
         let total = probe.steps();
         // Exactly the probed fuel completes; one tick less aborts.
         let exact = Governor::new().with_fuel(total);
         let memo = ChunkMemo::new(parser.memo_slot_count(), doc.len() as u32);
-        assert!(parser.parse_incremental_governed(&doc, memo, &exact).0.is_ok());
+        assert!(governed_incremental(&parser, &doc, memo, &exact).0.is_ok());
         let starved = Governor::new().with_fuel(total - 1);
         let memo = ChunkMemo::new(parser.memo_slot_count(), doc.len() as u32);
-        let (r, _, _) = parser.parse_incremental_governed(&doc, memo, &starved);
+        let (r, _, _) = governed_incremental(&parser, &doc, memo, &starved);
         assert_eq!(abort_kind(&r), Some(ParseAbort::FuelExhausted));
     }
 

@@ -34,10 +34,12 @@ use std::rc::Rc;
 
 use modpeg_baseline::BacktrackParser;
 use modpeg_core::{Expr, Grammar};
-use modpeg_interp::{CompiledGrammar, OptConfig, OPT_COUNT};
+use modpeg_interp::{
+    engine, CompiledGrammar, Engine, OptConfig, Output, ParseOptions, Parsed, OPT_COUNT,
+};
 use modpeg_runtime::{
-    recover, scan, ChunkMemo, Governor, ParseAbort, ParseError, ParseFault, Recovered, Span,
-    Stats, SyntaxTree, TreeBuilder, Value,
+    recover, scan, ChunkMemo, EventSink, Governor, ParseAbort, ParseError, ParseFault, Recovered,
+    Span, Stats, SyntaxTree, TreeBuilder, Value,
 };
 use modpeg_session::ParseSession;
 use modpeg_vm::VmProgram;
@@ -271,16 +273,12 @@ struct ScanFingerprint {
     steps: u64,
 }
 
-/// A governed run of one engine: hand it a governor, get the verdict
-/// and the statistics record back.
-type GovernedRun<'a> = dyn Fn(&Governor) -> (Result<SyntaxTree, ParseFault>, Stats) + 'a;
-
 /// Runs one engine under a fresh unlimited governor and fingerprints it.
 /// An abort under an unlimited governor is itself a contract violation,
 /// surfaced as `Err`.
-fn scan_fingerprint(run: &GovernedRun<'_>) -> Result<ScanFingerprint, ParseAbort> {
+fn scan_fingerprint(engine: &dyn Engine, input: &str) -> Result<ScanFingerprint, ParseAbort> {
     let gov = Governor::new();
-    let (result, stats) = run(&gov);
+    let (result, stats) = engine.tree(input, &ParseOptions::governed(&gov));
     let outcome = match result {
         Ok(tree) => Outcome {
             sexpr: Some(tree.to_sexpr()),
@@ -365,7 +363,6 @@ pub(crate) fn clip(s: &str) -> String {
 /// A cross-engine differential oracle for one grammar.
 pub struct Oracle<'g> {
     grammar: &'g Grammar,
-    id: Option<GrammarId>,
     engines: EngineSet,
     /// `(label, parser)` per interpreter configuration; index 0 is the
     /// reference (`cumulative(0)`, the naïve packrat parser).
@@ -373,15 +370,13 @@ pub struct Oracle<'g> {
     incremental: Rc<CompiledGrammar>,
     baseline: BacktrackParser<'g>,
     /// The fully optimized interpreter — the arena-active engine whose
-    /// SAX event stream the event legs round-trip.
+    /// SAX event stream the event legs round-trip, and the reference of
+    /// the recovery legs.
     full: CompiledGrammar,
-    /// `full` with the arena disabled: the old heap-allocated value
-    /// representation, which must yield byte-identical trees.
-    legacy: CompiledGrammar,
     /// The bytecode machine, compiled at full optimization.
     vm: Option<VmProgram>,
-    /// The bytecode machine with the arena disabled.
-    vm_legacy: Option<VmProgram>,
+    /// The build-time generated parser (named grammars only).
+    codegen: Option<&'static dyn Engine>,
     /// SAX event streams round-tripped so far (see [`Oracle::check`]).
     event_checks: Cell<u64>,
     /// Resilient-parse legs run so far (see [`Oracle::check_recovery`]).
@@ -430,27 +425,21 @@ impl<'g> Oracle<'g> {
         );
         let full =
             CompiledGrammar::compile(grammar, OptConfig::all()).map_err(|e| e.to_string())?;
-        let mut legacy = full.clone();
-        legacy.set_arena_enabled(false);
-        let (vm, vm_legacy) = if engines.vm {
-            let vm = VmProgram::from_compiled(&full).map_err(|e| e.to_string())?;
-            let mut vm_legacy = VmProgram::from_compiled(&full).map_err(|e| e.to_string())?;
-            vm_legacy.set_arena_enabled(false);
-            (Some(vm), Some(vm_legacy))
+        let vm = if engines.vm {
+            Some(VmProgram::from_compiled(&full).map_err(|e| e.to_string())?)
         } else {
-            (None, None)
+            None
         };
+        let codegen = id.filter(|_| engines.codegen).map(GrammarId::codegen);
         Ok(Oracle {
             grammar,
-            id,
             engines,
             levels,
             incremental,
             baseline: BacktrackParser::new(grammar),
             full,
-            legacy,
             vm,
-            vm_legacy,
+            codegen,
             event_checks: Cell::new(0),
             recovery_checks: Cell::new(0),
             scan_checks: Cell::new(0),
@@ -485,6 +474,20 @@ impl<'g> Oracle<'g> {
     /// The grammar under test.
     pub fn grammar(&self) -> &'g Grammar {
         self.grammar
+    }
+
+    /// The compiled engines every leg runs, labelled: the fully optimized
+    /// interpreter first (the reference of the recovery legs), then the
+    /// bytecode machine and the generated parser when enabled.
+    fn legs(&self) -> Vec<(&'static str, &dyn Engine)> {
+        let mut legs: Vec<(&'static str, &dyn Engine)> = vec![("opt-levels", &self.full)];
+        if let Some(vm) = &self.vm {
+            legs.push(("vm", vm));
+        }
+        if let Some(codegen) = self.codegen {
+            legs.push(("codegen", codegen));
+        }
+        legs
     }
 
     /// Runs every scratch-parse engine on `input` and compares outcomes.
@@ -524,86 +527,26 @@ impl<'g> Oracle<'g> {
                 _ => {}
             }
         }
-        if self.engines.codegen {
-            if let Some(result) = self.id.map(|id| id.codegen_parse(input)) {
-                let got = Outcome::of(result);
-                if got != reference {
-                    return Some(format!(
-                        "engine `codegen` disagrees with `cumulative(0)`: {} vs {}",
-                        got.describe(),
-                        reference.describe()
-                    ));
-                }
-            }
-        }
-        if let Some(vm) = &self.vm {
-            let got = Outcome::of(vm.parse(input));
+        let plain = ParseOptions::default();
+        for (label, engine) in &self.legs()[1..] {
+            let got = Outcome::of(engine::ungoverned(engine.tree(input, &plain).0));
             if got != reference {
                 return Some(format!(
-                    "engine `vm` disagrees with `cumulative(0)`: {} vs {}",
+                    "engine `{label}` disagrees with `cumulative(0)`: {} vs {}",
                     got.describe(),
                     reference.describe()
                 ));
-            }
-        }
-
-        // Old-representation legs: the same engines with the arena
-        // disabled build legacy heap-allocated trees, which must be
-        // structurally identical to both the reference and the
-        // arena-backed copies compared above.
-        let got = Outcome::of(self.legacy.parse(input));
-        if got != reference {
-            return Some(format!(
-                "engine `opt-levels` (arena disabled) disagrees with `cumulative(0)`: {} vs {}",
-                got.describe(),
-                reference.describe()
-            ));
-        }
-        if let Some(vm) = &self.vm_legacy {
-            let got = Outcome::of(vm.parse(input));
-            if got != reference {
-                return Some(format!(
-                    "engine `vm` (arena disabled) disagrees with `cumulative(0)`: {} vs {}",
-                    got.describe(),
-                    reference.describe()
-                ));
-            }
-        }
-        if self.engines.codegen {
-            if let Some(result) = self.id.map(|id| id.codegen_parse_legacy(input)) {
-                let got = Outcome::of(result);
-                if got != reference {
-                    return Some(format!(
-                        "engine `codegen` (arena disabled) disagrees with `cumulative(0)`: {} vs {}",
-                        got.describe(),
-                        reference.describe()
-                    ));
-                }
             }
         }
 
         // Event legs: every engine's SAX stream, rebuilt by a
         // TreeBuilder, must reproduce the reference tree (and reject at
         // the reference offset on failures).
-        if let Some(d) = self.check_event_leg(input, &reference, "opt-levels", |sink| {
-            self.full.parse_events(input, sink)
-        }) {
-            return Some(d);
-        }
-        if let Some(vm) = &self.vm {
-            if let Some(d) = self.check_event_leg(input, &reference, "vm", |sink| {
-                vm.parse_events(input, sink)
+        for (label, engine) in self.legs() {
+            if let Some(d) = self.check_event_leg(input, &reference, label, |sink| {
+                engine::ungoverned(engine.events(input, &plain, sink).0)
             }) {
                 return Some(d);
-            }
-        }
-        if self.engines.codegen {
-            if let Some(id) = self.id {
-                if let Some(d) = self.check_event_leg(input, &reference, "codegen", |sink| {
-                    id.codegen_parse_events(input, sink)
-                }) {
-                    return Some(d);
-                }
             }
         }
 
@@ -633,32 +576,13 @@ impl<'g> Oracle<'g> {
     /// which scanner ran.
     pub fn check_scan_parity(&self, input: &str) -> Option<String> {
         self.scan_checks.set(self.scan_checks.get() + 1);
-        let mut legs: Vec<(&'static str, Box<GovernedRun<'_>>)> = vec![(
-            "opt-levels",
-            Box::new(|gov: &Governor| self.full.parse_governed(input, gov)),
-        )];
-        if let Some(vm) = &self.vm {
-            legs.push((
-                "vm",
-                Box::new(move |gov: &Governor| vm.parse_governed(input, gov)),
-            ));
-        }
-        if self.engines.codegen {
-            if let Some(id) = self.id {
-                legs.push((
-                    "codegen",
-                    Box::new(move |gov: &Governor| id.codegen_parse_governed(input, gov)),
-                ));
-            }
-        }
-
         let prior = scan::scalar_forced();
         let mut verdict = None;
-        'engines: for (label, run) in &legs {
+        'engines: for (label, engine) in self.legs() {
             scan::force_scalar(false);
-            let vectorized = scan_fingerprint(run.as_ref());
+            let vectorized = scan_fingerprint(engine, input);
             scan::force_scalar(true);
-            let scalar = scan_fingerprint(run.as_ref());
+            let scalar = scan_fingerprint(engine, input);
             match (vectorized, scalar) {
                 (Err(kind), _) | (_, Err(kind)) => {
                     verdict = Some(format!(
@@ -786,64 +710,31 @@ impl<'g> Oracle<'g> {
             }
             None
         };
-        let got = self.legacy.parse_resilient(input, &policy);
-        if let Some(d) = compare("opt-levels (arena disabled)", &got) {
-            return Some(d);
-        }
-        if let Some(vm) = &self.vm {
-            if vm.recover_policy() != policy {
-                return Some(
-                    "engine `vm` computed a different recovery policy than the interpreter"
-                        .to_owned(),
-                );
+        let plain = ParseOptions::default();
+        for (label, engine) in &self.legs()[1..] {
+            if engine.recover_policy() != policy {
+                return Some(format!(
+                    "engine `{label}` derived a different recovery policy than the interpreter"
+                ));
             }
-            if let Some(d) = compare("vm", &vm.parse_resilient(input, &policy)) {
+            let got = engine::ungoverned_recovered(engine.resilient(input, &plain, &policy).0);
+            if let Some(d) = compare(label, &got) {
                 return Some(d);
-            }
-        }
-        if let Some(vm) = &self.vm_legacy {
-            if let Some(d) = compare("vm (arena disabled)", &vm.parse_resilient(input, &policy)) {
-                return Some(d);
-            }
-        }
-        if self.engines.codegen {
-            if let Some(id) = self.id {
-                if id.codegen_recover_policy() != policy {
-                    return Some(
-                        "engine `codegen` baked a different recovery policy than the interpreter"
-                            .to_owned(),
-                    );
-                }
-                if let Some(d) = compare("codegen", &id.codegen_parse_resilient(input, &policy)) {
-                    return Some(d);
-                }
             }
         }
 
-        // Event legs: each engine's resilient event stream must rebuild
-        // the recovered tree ($error nodes round-trip through
-        // ErrorStart/ErrorEnd) and report identical diagnostics.
-        if let Some(d) = self.check_recovery_event_leg(input, &ref_sexpr, ref_diags, "opt-levels", |sink| {
-            self.full.parse_resilient_events(input, &policy, sink)
-        }) {
-            return Some(d);
-        }
-        if let Some(vm) = &self.vm {
-            if let Some(d) = self.check_recovery_event_leg(input, &ref_sexpr, ref_diags, "vm", |sink| {
-                vm.parse_resilient_events(input, &policy, sink)
-            }) {
+        // Event legs: each engine's recovered tree, replayed as events
+        // ($error nodes become ErrorStart/ErrorEnd brackets), must
+        // rebuild the reference tree.
+        for (label, engine) in self.legs() {
+            let rec = engine::ungoverned_recovered(engine.resilient(input, &plain, &policy).0);
+            let replay = |sink: &mut dyn EventSink| {
+                recover::emit_recovered_events(rec.tree.root(), sink);
+                rec.diagnostics
+            };
+            if let Some(d) = self.check_recovery_event_leg(input, &ref_sexpr, ref_diags, label, replay)
+            {
                 return Some(d);
-            }
-        }
-        if self.engines.codegen {
-            if let Some(id) = self.id {
-                if let Some(d) =
-                    self.check_recovery_event_leg(input, &ref_sexpr, ref_diags, "codegen", |sink| {
-                        id.codegen_parse_resilient_events(input, &policy, sink)
-                    })
-                {
-                    return Some(d);
-                }
             }
         }
 
@@ -869,7 +760,7 @@ impl<'g> Oracle<'g> {
         // starvation fuel aborts with a structured kind. Either way the
         // run returns — no panic, no hang.
         let gov = Governor::new();
-        let (r, _) = self.full.parse_resilient_governed(input, &policy, &gov);
+        let (r, _) = self.full.resilient(input, &ParseOptions::governed(&gov), &policy);
         match r {
             Ok(rec) => {
                 if let Some(d) = compare("opt-levels (governed)", &rec) {
@@ -882,25 +773,11 @@ impl<'g> Oracle<'g> {
                 ));
             }
         }
-        let starve = Governor::new().with_fuel(4);
-        let (r, _) = self.full.parse_resilient_governed(input, &policy, &starve);
-        if let Some(d) = starved_recovery_violation("opt-levels", r, &ref_sexpr, ref_diags) {
-            return Some(d);
-        }
-        if let Some(vm) = &self.vm {
+        for (label, engine) in self.legs() {
             let starve = Governor::new().with_fuel(4);
-            let (r, _) = vm.parse_resilient_governed(input, &policy, &starve);
-            if let Some(d) = starved_recovery_violation("vm", r, &ref_sexpr, ref_diags) {
+            let (r, _) = engine.resilient(input, &ParseOptions::governed(&starve), &policy);
+            if let Some(d) = starved_recovery_violation(label, r, &ref_sexpr, ref_diags) {
                 return Some(d);
-            }
-        }
-        if self.engines.codegen {
-            if let Some(id) = self.id {
-                let starve = Governor::new().with_fuel(4);
-                let (r, _) = id.codegen_parse_resilient_governed(input, &policy, &starve);
-                if let Some(d) = starved_recovery_violation("codegen", r, &ref_sexpr, ref_diags) {
-                    return Some(d);
-                }
             }
         }
         None
@@ -1031,8 +908,13 @@ impl<'g> Oracle<'g> {
             return None;
         }
         let mut doc = text.to_owned();
+        let plain = ParseOptions::default();
         let memo = ChunkMemo::new(self.incremental.memo_slot_count(), doc.len() as u32);
-        let (_, _, mut memo) = self.incremental.parse_incremental(&doc, memo);
+        let tree = |doc: &str, memo| {
+            let (r, _, memo) = self.incremental.parse_incremental(doc, memo, &plain, Output::Tree);
+            (engine::ungoverned(r.map(Parsed::into_tree)), memo)
+        };
+        let (_, mut memo) = tree(&doc, memo);
         for step in 0..self.edits_per_script {
             let (range, insert) = random_edit(&doc, &self.alphabet, &mut rng);
             let (lo, removed, inserted) = (
@@ -1047,7 +929,7 @@ impl<'g> Oracle<'g> {
                     "after edit {step} ({range:?} -> {insert:?}) on {doc:?}: {violation}"
                 ));
             }
-            let (result, _, back) = self.incremental.parse_incremental(&doc, memo);
+            let (result, back) = tree(&doc, memo);
             memo = back;
             let incremental = Outcome::of(result);
             let scratch = Outcome::of(self.incremental.parse(&doc));

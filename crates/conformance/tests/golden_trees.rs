@@ -5,9 +5,10 @@
 //! elided), so any change to grammar elaboration, optimization passes, or
 //! code generation that silently alters tree construction shows up as a
 //! readable diff. Each input is parsed by the build-time generated parser
-//! and by the interpreter at full optimization — arena-backed and with
-//! the arena disabled (the old heap representation) — plus an event-mode
-//! round-trip; every leg must match the committed snapshot.
+//! and by the interpreter twice — at full optimization (arena-backed,
+//! copied out) and at `cumulative(0)` (hash memo, `Rc` trees built
+//! directly) — plus an event-mode round-trip; every leg must match the
+//! committed snapshot.
 //!
 //! Snapshots are compared *structurally* (kind, arity, leaf text), not as
 //! formatted strings: a divergence reports the path to the first
@@ -20,6 +21,7 @@
 //! ```
 
 use modpeg_conformance::GrammarId;
+use modpeg_interp::{Engine, ParseOptions};
 use modpeg_runtime::{SyntaxTree, TreeBuilder};
 
 /// A parsed golden snapshot: atoms are leaf texts / node kinds, lists are
@@ -163,13 +165,16 @@ fn check_golden(id: GrammarId, input: &str, golden_file: &str) {
         .join("tests/golden")
         .join(golden_file);
     let generated = id
-        .codegen_parse(input)
+        .codegen()
+        .tree(input, &ParseOptions::default())
+        .0
         .unwrap_or_else(|e| panic!("{} sample must parse: {e}", id.name()))
         .to_sexpr();
 
-    // The interpreter at full optimization must build the same tree,
-    // both out of the arena (the copied-out tree `parse` returns) and
-    // with the arena disabled (the old heap representation).
+    // The interpreter at full optimization must build the same tree out
+    // of the arena (the copied-out tree `parse` returns), and so must the
+    // naive packrat configuration, whose hash memo builds `Rc` trees
+    // directly: the cross-representation check.
     let grammar = id.elaborate().expect("grammar elaborates");
     let compiled =
         modpeg_interp::CompiledGrammar::compile(&grammar, modpeg_interp::OptConfig::all())
@@ -183,14 +188,15 @@ fn check_golden(id: GrammarId, input: &str, golden_file: &str) {
         &generated,
         &interpreted,
     );
-    let mut legacy = compiled.clone();
-    legacy.set_arena_enabled(false);
-    let old_repr = legacy
+    let hash_memo =
+        modpeg_interp::CompiledGrammar::compile(&grammar, modpeg_interp::OptConfig::cumulative(0))
+            .expect("grammar compiles");
+    let old_repr = hash_memo
         .parse(input)
-        .unwrap_or_else(|e| panic!("{} sample must parse sans arena: {e}", id.name()))
+        .unwrap_or_else(|e| panic!("{} sample must parse without the arena: {e}", id.name()))
         .to_sexpr();
     assert_same_tree(
-        &format!("arena vs legacy representation ({})", id.name()),
+        &format!("arena vs hash-memo Rc representation ({})", id.name()),
         &interpreted,
         &old_repr,
     );
@@ -198,7 +204,8 @@ fn check_golden(id: GrammarId, input: &str, golden_file: &str) {
     // The SAX event stream must rebuild the same tree too.
     let mut builder = TreeBuilder::new();
     compiled
-        .parse_events(input, &mut builder)
+        .events(input, &ParseOptions::default(), &mut builder)
+        .0
         .unwrap_or_else(|e| panic!("{} sample must parse via events: {e}", id.name()));
     let rebuilt = builder.finish().expect("balanced event stream");
     assert_same_tree(

@@ -14,7 +14,7 @@
 //!   harness's sampled check.
 
 use modpeg_core::Diagnostics;
-use modpeg_interp::{CompiledGrammar, OptConfig};
+use modpeg_interp::{CompiledGrammar, Engine, OptConfig, ParseOptions};
 use modpeg_runtime::{scan, Governor, ParseAbort, ParseFault, Stats, SyntaxTree};
 use modpeg_vm::VmProgram;
 
@@ -123,8 +123,8 @@ fn every_fuel_point_inside_a_bulk_run_aborts_at_the_scalar_boundary() {
     let doc = "abc\u{e9}\u{e9}def\u{800}ghi\u{1f600}\u{4e2d}jklmnop".repeat(3);
 
     let engines: Vec<(&str, Box<GovernedParse<'_>>)> = vec![
-        ("interp", Box::new(|gov: &Governor| p.parse_governed(&doc, gov))),
-        ("vm", Box::new(|gov: &Governor| vm.parse_governed(&doc, gov))),
+        ("interp", Box::new(|gov: &Governor| p.tree(&doc, &ParseOptions::governed(gov)))),
+        ("vm", Box::new(|gov: &Governor| vm.tree(&doc, &ParseOptions::governed(gov)))),
     ];
 
     let prior = scan::scalar_forced();

@@ -326,7 +326,16 @@ pub fn inventory() -> Vec<GrammarEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use modpeg_interp::{CompiledGrammar, OptConfig};
+    use modpeg_interp::{CompiledGrammar, Engine, OptConfig, ParseOptions};
+    use modpeg_runtime::{ParseFault, Stats, SyntaxTree};
+
+    fn parse_governed(
+        engine: impl Engine,
+        text: &str,
+        gov: &modpeg_runtime::Governor,
+    ) -> (Result<SyntaxTree, ParseFault>, Stats) {
+        engine.tree(text, &ParseOptions::governed(gov))
+    }
 
     const JAVA_SAMPLE: &str = r#"
 // A sample program exercising most of the subset.
@@ -873,7 +882,7 @@ class Repo {
     fn generated_governed_matches_ungoverned_without_limits() {
         use modpeg_runtime::Governor;
         let gov = Governor::new();
-        let (r, stats) = generated::java::parse_governed(JAVA_SAMPLE, &gov);
+        let (r, stats) = parse_governed(generated::java::GeneratedEngine, JAVA_SAMPLE, &gov);
         let governed = r.unwrap_or_else(|e| panic!("{e}")).to_sexpr();
         assert_eq!(governed, generated::java::parse(JAVA_SAMPLE).unwrap().to_sexpr());
         assert!(stats.productions_evaluated > 0);
@@ -882,7 +891,7 @@ class Repo {
         // Syntax errors surface identically, as ParseFault::Syntax.
         let bad = "class A { int f( { return 0; } }";
         let gov = Governor::new();
-        let fault = generated::java::parse_governed(bad, &gov).0.unwrap_err();
+        let fault = parse_governed(generated::java::GeneratedEngine, bad, &gov).0.unwrap_err();
         let err = fault.syntax().expect("syntax fault, not abort");
         assert_eq!(err.offset(), generated::java::parse(bad).unwrap_err().offset());
     }
@@ -891,7 +900,7 @@ class Repo {
     fn generated_fuel_abort_is_deterministic_then_retry_succeeds() {
         use modpeg_runtime::{Governor, ParseAbort};
         let probe = Governor::new();
-        let reference = generated::c::parse_governed(C_SAMPLE, &probe)
+        let reference = parse_governed(generated::c::GeneratedEngine, C_SAMPLE, &probe)
             .0
             .unwrap()
             .to_sexpr();
@@ -899,13 +908,13 @@ class Repo {
         assert!(total > 8, "probe counted {total} steps");
         for fuel in [0, 1, total / 2, total - 1] {
             let gov = Governor::new().with_fuel(fuel);
-            let fault = generated::c::parse_governed(C_SAMPLE, &gov).0.unwrap_err();
+            let fault = parse_governed(generated::c::GeneratedEngine, C_SAMPLE, &gov).0.unwrap_err();
             assert_eq!(fault.abort(), Some(ParseAbort::FuelExhausted), "fuel={fuel}");
             assert_eq!(gov.tripped(), Some(ParseAbort::FuelExhausted));
         }
         // Exactly enough fuel completes with an identical tree.
         let gov = Governor::new().with_fuel(total);
-        let tree = generated::c::parse_governed(C_SAMPLE, &gov).0.unwrap();
+        let tree = parse_governed(generated::c::GeneratedEngine, C_SAMPLE, &gov).0.unwrap();
         assert_eq!(tree.to_sexpr(), reference);
         assert!(gov.tripped().is_none());
     }
@@ -916,33 +925,33 @@ class Repo {
         // Nesting far past any stack: must abort, not crash.
         let deep = format!("{}1{}", "(".repeat(50_000), ")".repeat(50_000));
         let gov = Governor::new();
-        let fault = generated::calc::parse_governed(&deep, &gov).0.unwrap_err();
+        let fault = parse_governed(generated::calc::GeneratedEngine, &deep, &gov).0.unwrap_err();
         assert_eq!(fault.abort(), Some(ParseAbort::DepthExceeded));
         // A tight explicit ceiling rejects modest nesting a roomy one accepts.
         let modest = format!("{}1{}", "(".repeat(50), ")".repeat(50));
         let gov = Governor::new().with_max_depth(40);
-        let fault = generated::calc::parse_governed(&modest, &gov).0.unwrap_err();
+        let fault = parse_governed(generated::calc::GeneratedEngine, &modest, &gov).0.unwrap_err();
         assert_eq!(fault.abort(), Some(ParseAbort::DepthExceeded));
         let gov = Governor::new().with_max_depth(5_000);
-        assert!(generated::calc::parse_governed(&modest, &gov).0.is_ok());
+        assert!(parse_governed(generated::calc::GeneratedEngine, &modest, &gov).0.is_ok());
     }
 
     #[test]
     fn generated_memo_budget_degrades_gracefully_before_aborting() {
         use modpeg_runtime::{Governor, ParseAbort};
         let program = modpeg_workload::java_program(7, 8_000);
-        let (r, full) = generated::java::parse_governed(&program, &Governor::new());
+        let (r, full) = parse_governed(generated::java::GeneratedEngine, &program, &Governor::new());
         let reference = r.unwrap().to_sexpr();
         // A quarter of the retained bytes: evictions (and possibly the
         // transient fallback) kick in, yet the tree is unchanged.
         let gov = Governor::new().with_memo_budget(full.memo_bytes / 4);
-        let (r, stats) = generated::java::parse_governed(&program, &gov);
+        let (r, stats) = parse_governed(generated::java::GeneratedEngine, &program, &gov);
         assert_eq!(r.unwrap().to_sexpr(), reference);
         assert!(stats.gov_evictions > 0, "{stats}");
         assert!(stats.memo_bytes <= full.memo_bytes / 4, "{stats}");
         // A budget below even the empty table's floor aborts.
         let gov = Governor::new().with_memo_budget(16);
-        let fault = generated::java::parse_governed(&program, &gov).0.unwrap_err();
+        let fault = parse_governed(generated::java::GeneratedEngine, &program, &gov).0.unwrap_err();
         assert_eq!(fault.abort(), Some(ParseAbort::MemoBudget));
     }
 }

@@ -6,13 +6,14 @@
 
 use modpeg_core::{ProdId, ProdKind};
 use modpeg_runtime::{
-    recover, ChunkMemo, Diagnostics, Fail, Failures, Governor, HashMemo, Input, MemoAnswer,
-    MemoTable, NodeKind, Out, ParseAbort, ParseError, ParseFault, RecoverPolicy, Recovered,
-    ScopedState, Span, Stats, SyntaxTree, Value, DEFAULT_MAX_DEPTH,
+    ChunkMemo, EventSink, Fail, Failures, Governor, HashMemo, Input, MemoAnswer, MemoTable,
+    NodeKind, Out, ParseAbort, ParseError, ParseFault, RecoverPolicy, Recovered, ScopedState,
+    Span, Stats, SyntaxTree, Value, DEFAULT_MAX_DEPTH,
 };
 use modpeg_telemetry::{Telemetry, REP_HELPER};
 
 use crate::compile::{CAlt, CExpr, CompiledGrammar, EId};
+use crate::engine::{self, Engine, Evaluator, Output, ParseOptions, Parsed};
 
 enum Memo {
     Hash(HashMemo),
@@ -101,13 +102,8 @@ struct Run<'g, 'i> {
 }
 
 impl<'g, 'i> Run<'g, 'i> {
-    fn new(g: &'g CompiledGrammar, text: &'i str) -> Self {
+    fn new(g: &'g CompiledGrammar, text: &'i str, memo: Memo) -> Self {
         let input = Input::new(text);
-        let memo = if g.cfg.chunks {
-            Memo::Chunk(ChunkMemo::new(g.n_slots, input.len()))
-        } else {
-            Memo::Hash(HashMemo::new())
-        };
         let failures = if g.cfg.errors {
             Failures::new()
         } else {
@@ -300,23 +296,18 @@ impl<'g, 'i> Run<'g, 'i> {
         }
     }
 
-    /// Whether composite values are built in the memo table's bump
-    /// region: runs backed by the chunked table, unless the grammar's
-    /// arena toggle turned the region off (legacy-representation legs of
-    /// the equivalence tests and benchmarks).
-    fn use_arena(&self) -> bool {
-        self.g.arena_enabled && matches!(self.memo, Memo::Chunk(_))
-    }
+    // Composite values are built in the memo table's bump region exactly
+    // on runs backed by the chunked table. Hash-memo runs build `Rc`
+    // trees: the independent representation the conformance oracle's
+    // `cumulative(0)` reference rests on.
 
     fn make_node(&mut self, kind: &NodeKind, children: Vec<Value>, span: Option<Span>) -> Value {
         self.stats.nodes_built += 1;
-        if self.use_arena() {
-            if let Memo::Chunk(m) = &mut self.memo {
-                self.stats.value_bytes += (modpeg_runtime::Arena::NODE_BYTES
-                    + children.len() * std::mem::size_of::<Value>())
-                    as u64;
-                return Value::ArenaNode(m.arena_mut().alloc_node(kind.clone(), children, span));
-            }
+        if let Memo::Chunk(m) = &mut self.memo {
+            self.stats.value_bytes += (modpeg_runtime::Arena::NODE_BYTES
+                + children.len() * std::mem::size_of::<Value>())
+                as u64;
+            return Value::ArenaNode(m.arena_mut().alloc_node(kind.clone(), children, span));
         }
         self.stats.value_bytes += (std::mem::size_of::<modpeg_runtime::Node>()
             + children.capacity() * std::mem::size_of::<Value>())
@@ -338,31 +329,25 @@ impl<'g, 'i> Run<'g, 'i> {
     /// in (one level): `x ("," x)*` and `(x ("," x)*)?` both yield one
     /// flat list of `x`s, matching how grammar authors read the idiom.
     fn make_list(&mut self, items: Vec<Value>) -> Value {
-        if self.use_arena() {
-            if let Memo::Chunk(m) = &mut self.memo {
-                let arena = m.arena_mut();
-                let items = if items
-                    .iter()
-                    .any(|v| matches!(v, Value::List(_) | Value::ArenaList(_)))
-                {
-                    let mut flat = Vec::with_capacity(items.len());
-                    for v in items {
-                        match v {
-                            Value::List(l) => flat.extend(l.iter().cloned()),
-                            Value::ArenaList(r) => flat.extend(arena.children(r).iter().cloned()),
-                            other => flat.push(other),
-                        }
+        if let Memo::Chunk(m) = &mut self.memo {
+            let arena = m.arena_mut();
+            let items = if items.iter().any(|v| matches!(v, Value::ArenaList(_))) {
+                let mut flat = Vec::with_capacity(items.len());
+                for v in items {
+                    match v {
+                        Value::ArenaList(r) => flat.extend(arena.children(r).iter().cloned()),
+                        other => flat.push(other),
                     }
-                    flat
-                } else {
-                    items
-                };
-                self.stats.lists_built += 1;
-                self.stats.value_bytes += (modpeg_runtime::Arena::NODE_BYTES
-                    + items.len() * std::mem::size_of::<Value>())
-                    as u64;
-                return Value::ArenaList(arena.alloc_list(items));
-            }
+                }
+                flat
+            } else {
+                items
+            };
+            self.stats.lists_built += 1;
+            self.stats.value_bytes += (modpeg_runtime::Arena::NODE_BYTES
+                + items.len() * std::mem::size_of::<Value>())
+                as u64;
+            return Value::ArenaList(arena.alloc_list(items));
         }
         let items = if items.iter().any(|v| matches!(v, Value::List(_))) {
             let mut flat = Vec::with_capacity(items.len());
@@ -389,33 +374,6 @@ impl<'g, 'i> Run<'g, 'i> {
         match &self.memo {
             Memo::Chunk(m) => m.arena().children(r).to_vec(),
             Memo::Hash(_) => unreachable!("arena values exist only with a chunked memo"),
-        }
-    }
-
-    /// Streams `value` as SAX events straight from the run's region (or
-    /// by walking the legacy tree, for hash-memo runs) — no owned tree is
-    /// materialized.
-    fn emit(&self, value: &Value, sink: &mut dyn modpeg_runtime::EventSink) {
-        match &self.memo {
-            Memo::Chunk(m) => m.arena().emit_events(value, sink),
-            Memo::Hash(_) => modpeg_runtime::Arena::new().emit_events(value, sink),
-        }
-    }
-
-    /// Detaches `value` from the run's region before it escapes into a
-    /// [`SyntaxTree`]: region-backed trees are copied out (the returned
-    /// tree shares nothing with the memo table), legacy trees pass through
-    /// as cheap clones.
-    fn materialize(&self, value: Value) -> Value {
-        match &self.memo {
-            // No whole-arena invariant check here: on incremental runs the
-            // region carries orphaned nodes from earlier parses of a
-            // *different* document, whose spans are meaningless against the
-            // current input. `copy_out` itself asserts generation validity
-            // of every handle it follows; whole-arena checks live in the
-            // dedicated invariant suites where the input is known.
-            Memo::Chunk(m) => m.arena().copy_out(&value),
-            Memo::Hash(_) => value,
         }
     }
 
@@ -1166,30 +1124,6 @@ fn seq_out(values: Vec<Value>) -> Out {
     Out::from_values(values)
 }
 
-/// Interprets a governed run's top-level result. The abort check comes
-/// first and overrides the nominal outcome: once a run aborts, the
-/// unwinding value is untrustworthy (a `!p` predicate on the unwind path
-/// converts the abort-induced failure into a success it never earned).
-fn governed_outcome(
-    run: &mut Run<'_, '_>,
-    text: &str,
-    result: Result<(u32, Value), Fail>,
-) -> Result<SyntaxTree, ParseFault> {
-    if let Some(kind) = run.aborted {
-        return Err(ParseFault::Abort(kind));
-    }
-    match result {
-        Ok((end, value)) if end == run.input.len() => {
-            Ok(SyntaxTree::new(text, run.materialize(value)))
-        }
-        Ok((end, _)) => {
-            run.note(end, "end of input");
-            Err(ParseFault::Syntax(run.failures.to_error(&run.input)))
-        }
-        Err(_) => Err(ParseFault::Syntax(run.failures.to_error(&run.input))),
-    }
-}
-
 /// The name a state operation works with: the operand's first textual
 /// value when it has one (an `Identifier` reference or a `$` capture —
 /// excluding its trailing spacing), otherwise the whole matched span.
@@ -1232,7 +1166,186 @@ fn decode_helper(is_unit: bool, value: Value) -> Out {
     }
 }
 
+/// What an interpreter run is asked for beyond its [`Output`].
+#[derive(Default)]
+struct Extras {
+    /// A caller-supplied memo table to parse with and hand back.
+    memo: Option<ChunkMemo>,
+    /// Record alternative-level coverage.
+    coverage: bool,
+    /// Accept as soon as the root matches, however much input is left.
+    prefix: bool,
+}
+
+/// Everything an interpreter run hands back.
+struct Driven {
+    outcome: Result<Parsed, ParseFault>,
+    stats: Stats,
+    memo: Option<ChunkMemo>,
+    coverage: Option<crate::Coverage>,
+    /// Where the root stopped (prefix parses).
+    end: u32,
+}
+
+impl Evaluator for Run<'_, '_> {
+    fn eval_root(&mut self, pos: u32, fresh: bool) -> Result<(u32, Value), Fail> {
+        if fresh {
+            self.failures.reset();
+        }
+        self.eval_prod(self.g.root, pos)
+    }
+
+    fn aborted(&self) -> Option<ParseAbort> {
+        self.aborted
+    }
+
+    fn note_end(&mut self, end: u32) {
+        self.note(end, "end of input");
+    }
+
+    fn error(&self) -> ParseError {
+        self.failures.to_error(&self.input)
+    }
+
+    /// Region-backed trees are copied out (the returned tree shares
+    /// nothing with the memo table); hash-memo trees pass through as
+    /// cheap clones.
+    fn materialize(&self, value: Value) -> Value {
+        match &self.memo {
+            // No whole-arena invariant check here: on incremental runs the
+            // region carries orphaned nodes from earlier parses of a
+            // *different* document, whose spans are meaningless against the
+            // current input. `copy_out` itself asserts generation validity
+            // of every handle it follows; whole-arena checks live in the
+            // dedicated invariant suites where the input is known.
+            Memo::Chunk(m) => m.arena().copy_out(&value),
+            Memo::Hash(_) => value,
+        }
+    }
+
+    /// Hash-memo trees are walked structurally.
+    fn emit(&self, value: &Value, sink: &mut dyn EventSink) {
+        match &self.memo {
+            Memo::Chunk(m) => m.arena().emit_events(value, sink),
+            Memo::Hash(_) => modpeg_runtime::Arena::new().emit_events(value, sink),
+        }
+    }
+}
+
 impl CompiledGrammar {
+    /// The interpreter's one parse path; every public entry point is a
+    /// call into it.
+    fn drive(
+        &self,
+        text: &str,
+        opts: &ParseOptions<'_>,
+        output: Output<'_>,
+        extras: Extras,
+    ) -> Driven {
+        let Extras {
+            memo,
+            coverage,
+            prefix,
+        } = extras;
+        if let Some(outcome) = engine::preflight(text, opts, &output) {
+            // An oversized input leaves nothing worth carrying; a governor
+            // that aborts before any work leaves the table as it was.
+            let memo = match memo {
+                Some(mut m) if !matches!(outcome, Err(ParseFault::Abort(_))) => {
+                    m.reset_for(self.n_slots, 0);
+                    Some(m)
+                }
+                other => other,
+            };
+            return Driven {
+                outcome,
+                stats: Stats::default(),
+                memo,
+                coverage: None,
+                end: 0,
+            };
+        }
+        // Without the `chunks` optimization a supplied table cannot serve
+        // the run: it parses from scratch and the table comes back as is.
+        let (table, idle) = match memo {
+            Some(mut m) if self.cfg.chunks => {
+                if !m.fits(self.n_slots, text.len() as u32) {
+                    m.reset_for(self.n_slots, text.len() as u32);
+                }
+                (Memo::Chunk(m), None)
+            }
+            idle => (self.fresh_memo(text.len() as u32), idle),
+        };
+        let mut run = Run::new(self, text, table);
+        if let Some(gov) = opts.governor {
+            run.install_governor(gov);
+        }
+        if let Some(telem) = opts.telemetry {
+            run.install_telemetry(telem);
+        }
+        if coverage {
+            run.coverage = Some(self.empty_coverage());
+        }
+        let mut end = 0;
+        let outcome = if prefix {
+            match run.eval_prod(self.root, 0) {
+                Ok((stop, value)) => {
+                    end = stop;
+                    Ok(Parsed::Tree(SyntaxTree::new(text, run.materialize(value))))
+                }
+                Err(_) => Err(ParseFault::Syntax(run.error())),
+            }
+        } else {
+            engine::evaluate(&mut run, text, output)
+        };
+        if let Some(gov) = opts.governor {
+            run.finish_governed(gov);
+        }
+        run.finish_stats();
+        let mut stats = std::mem::take(&mut run.stats);
+        let coverage = run.coverage.take();
+        let memo = match run.memo {
+            Memo::Chunk(mut m) => {
+                stats.memo_entries_shifted += m.take_entries_shifted();
+                Some(m)
+            }
+            Memo::Hash(_) => idle,
+        };
+        Driven {
+            outcome,
+            stats,
+            memo,
+            coverage,
+            end,
+        }
+    }
+
+    fn fresh_memo(&self, len: u32) -> Memo {
+        if self.cfg.chunks {
+            Memo::Chunk(ChunkMemo::new(self.n_slots, len))
+        } else {
+            Memo::Hash(HashMemo::new())
+        }
+    }
+
+    fn empty_coverage(&self) -> crate::Coverage {
+        let names = self.prods.iter().map(|p| p.name.clone()).collect();
+        let labels = self
+            .prods
+            .iter()
+            .map(|p| {
+                let alts: Vec<&CAlt> = match &p.lr {
+                    Some(lr) => lr.bases.iter().chain(lr.tails.iter()).collect(),
+                    None => p.alts.iter().collect(),
+                };
+                alts.iter()
+                    .map(|a| a.node_kind.label().map(str::to_owned))
+                    .collect()
+            })
+            .collect();
+        crate::Coverage::new(names, labels)
+    }
+
     /// Parses `text`, requiring the root production to consume all of it.
     ///
     /// # Errors
@@ -1264,475 +1377,13 @@ impl CompiledGrammar {
     /// Like [`CompiledGrammar::parse`], also returning the run's [`Stats`]
     /// (memoization traffic, allocation accounting, backtracking counts).
     pub fn parse_with_stats(&self, text: &str) -> (Result<SyntaxTree, ParseError>, Stats) {
-        self.parse_with_telemetry(text, &Telemetry::disabled())
+        let (outcome, stats) = self.tree(text, &ParseOptions::default());
+        (engine::ungoverned(outcome), stats)
     }
 
-    /// Like [`CompiledGrammar::parse_with_stats`], with telemetry hooks
-    /// reporting to `telem` (production spans, memo traffic, backtracks).
-    /// A disabled handle reduces every hook to a single branch, so this
-    /// *is* `parse_with_stats` — the plain entry point delegates here.
-    pub fn parse_with_telemetry(
-        &self,
-        text: &str,
-        telem: &Telemetry,
-    ) -> (Result<SyntaxTree, ParseError>, Stats) {
-        if text.len() > u32::MAX as usize {
-            // Spans and memo positions are 32-bit; refuse cleanly instead
-            // of wrapping.
-            let input = Input::new("");
-            let mut failures = Failures::new();
-            failures.note(0, "input smaller than 4 GiB");
-            return (Err(failures.to_error(&input)), Stats::default());
-        }
-        let mut run = Run::new(self, text);
-        run.install_telemetry(telem);
-        let result = run.eval_prod(self.root, 0);
-        let outcome = match result {
-            Ok((end, value)) if end == run.input.len() => {
-                Ok(SyntaxTree::new(text, run.materialize(value)))
-            }
-            Ok((end, _)) => {
-                run.note(end, "end of input");
-                Err(run.failures.to_error(&run.input))
-            }
-            Err(_) => Err(run.failures.to_error(&run.input)),
-        };
-        run.finish_stats();
-        (outcome, run.stats)
-    }
-
-    /// Like [`CompiledGrammar::parse_with_stats`], but parses with (and
-    /// returns) a caller-supplied [`ChunkMemo`], enabling incremental
-    /// reparsing: columns carried over from an earlier parse of the same
-    /// document — after [`ChunkMemo::apply_edit`] translated them past an
-    /// edit — are served as memo hits instead of being re-evaluated.
-    ///
-    /// The grammar must have been compiled with the `chunks` optimization
-    /// (e.g. [`OptConfig::incremental`]); without it the call degrades to
-    /// an ordinary full parse. A memo table whose geometry does not match
-    /// this grammar and `text` is reset rather than trusted. Grammars that
-    /// use parser state must not carry memo tables across edits at all —
-    /// check [`CompiledGrammar::uses_state`] and reparse from scratch.
-    ///
-    /// [`OptConfig::incremental`]: crate::OptConfig::incremental
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseError`] exactly as [`CompiledGrammar::parse`]
-    /// does; the memo table is returned (and reusable) in either case.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use modpeg_core::{CharClass, Expr, GrammarBuilder, ProdKind};
-    /// use modpeg_interp::{CompiledGrammar, OptConfig};
-    /// use modpeg_runtime::ChunkMemo;
-    ///
-    /// let mut b = GrammarBuilder::new("m");
-    /// b.production("Word", ProdKind::Text, vec![(None, Expr::Capture(Box::new(
-    ///     Expr::Plus(Box::new(Expr::Class(CharClass::from_ranges(
-    ///         vec![('a', 'z')], false)))))))]);
-    /// let grammar = b.build("Word")?;
-    /// let parser = CompiledGrammar::compile(&grammar, OptConfig::incremental())?;
-    ///
-    /// // Priming parse populates the memo table.
-    /// let memo = ChunkMemo::new(parser.memo_slot_count(), 5);
-    /// let (tree, _, mut memo) = parser.parse_incremental("hello", memo);
-    /// assert!(tree.is_ok());
-    ///
-    /// // Replace bytes 1..3 ("el") with one byte, then reparse the edited
-    /// // text reusing whatever survived the edit.
-    /// memo.apply_edit(1, 2, 1);
-    /// let (tree, _, _) = parser.parse_incremental("halo", memo);
-    /// assert_eq!(tree.expect("still a word").to_sexpr(), "\"halo\"");
-    /// # Ok::<(), modpeg_core::Diagnostics>(())
-    /// ```
-    pub fn parse_incremental(
-        &self,
-        text: &str,
-        memo: ChunkMemo,
-    ) -> (Result<SyntaxTree, ParseError>, Stats, ChunkMemo) {
-        self.parse_incremental_telemetry(text, memo, &Telemetry::disabled())
-    }
-
-    /// [`CompiledGrammar::parse_incremental`] with telemetry hooks
-    /// reporting to `telem`.
-    pub fn parse_incremental_telemetry(
-        &self,
-        text: &str,
-        mut memo: ChunkMemo,
-        telem: &Telemetry,
-    ) -> (Result<SyntaxTree, ParseError>, Stats, ChunkMemo) {
-        if text.len() > u32::MAX as usize {
-            let input = Input::new("");
-            let mut failures = Failures::new();
-            failures.note(0, "input smaller than 4 GiB");
-            memo.reset_for(self.n_slots, 0);
-            return (Err(failures.to_error(&input)), Stats::default(), memo);
-        }
-        if !self.cfg.chunks {
-            let (result, stats) = self.parse_with_telemetry(text, telem);
-            return (result, stats, memo);
-        }
-        if !memo.fits(self.n_slots, text.len() as u32) {
-            memo.reset_for(self.n_slots, text.len() as u32);
-        }
-        let mut run = Run::new(self, text);
-        run.memo = Memo::Chunk(memo);
-        run.install_telemetry(telem);
-        let result = run.eval_prod(self.root, 0);
-        let outcome = match result {
-            Ok((end, value)) if end == run.input.len() => {
-                Ok(SyntaxTree::new(text, run.materialize(value)))
-            }
-            Ok((end, _)) => {
-                run.note(end, "end of input");
-                Err(run.failures.to_error(&run.input))
-            }
-            Err(_) => Err(run.failures.to_error(&run.input)),
-        };
-        run.finish_stats();
-        let mut stats = std::mem::take(&mut run.stats);
-        let Memo::Chunk(mut memo) = run.memo else {
-            unreachable!("installed as Chunk above")
-        };
-        stats.memo_entries_shifted += memo.take_entries_shifted();
-        (outcome, stats, memo)
-    }
-
-    /// Parses `text` under `gov`'s resource limits (deadline, fuel,
-    /// cancellation, recursion depth, memo budget).
-    ///
-    /// Governed parses are the untrusted-input entry point: they can never
-    /// overflow the stack (a governor without an explicit depth limit gets
-    /// [`DEFAULT_MAX_DEPTH`]), spin past their deadline/fuel, or outgrow
-    /// their memo budget — over-budget runs first evict cold memo columns,
-    /// then fall back to transient-only parsing, and only abort as a last
-    /// resort. The same `Governor` must not be reused for another parse
-    /// without [`Governor::reset`] (a tripped governor is sticky).
-    ///
-    /// # Errors
-    ///
-    /// [`ParseFault::Syntax`] carries an ordinary [`ParseError`];
-    /// [`ParseFault::Abort`] reports which limit stopped the run. An abort
-    /// is not a verdict on the input — retrying with a larger budget may
-    /// succeed.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use modpeg_core::{CharClass, Expr, GrammarBuilder, ProdKind};
-    /// use modpeg_interp::{CompiledGrammar, OptConfig};
-    /// use modpeg_runtime::{Governor, ParseAbort};
-    ///
-    /// let mut b = GrammarBuilder::new("m");
-    /// b.production("Word", ProdKind::Text, vec![(None, Expr::Capture(Box::new(
-    ///     Expr::Plus(Box::new(Expr::Class(CharClass::from_ranges(
-    ///         vec![('a', 'z')], false)))))))]);
-    /// let grammar = b.build("Word")?;
-    /// let parser = CompiledGrammar::compile(&grammar, OptConfig::all())?;
-    ///
-    /// let generous = Governor::new().with_fuel(10_000);
-    /// assert!(parser.parse_governed("hello", &generous).0.is_ok());
-    ///
-    /// let starved = Governor::new().with_fuel(0);
-    /// let (result, _) = parser.parse_governed("hello", &starved);
-    /// assert_eq!(result.unwrap_err().abort(), Some(ParseAbort::FuelExhausted));
-    /// # Ok::<(), modpeg_core::Diagnostics>(())
-    /// ```
-    pub fn parse_governed(
-        &self,
-        text: &str,
-        gov: &Governor,
-    ) -> (Result<SyntaxTree, ParseFault>, Stats) {
-        self.parse_governed_telemetry(text, gov, &Telemetry::disabled())
-    }
-
-    /// [`CompiledGrammar::parse_governed`] with telemetry hooks reporting
-    /// to `telem` (including governor tick totals and abort events).
-    pub fn parse_governed_telemetry(
-        &self,
-        text: &str,
-        gov: &Governor,
-        telem: &Telemetry,
-    ) -> (Result<SyntaxTree, ParseFault>, Stats) {
-        if text.len() > u32::MAX as usize {
-            let input = Input::new("");
-            let mut failures = Failures::new();
-            failures.note(0, "input smaller than 4 GiB");
-            return (
-                Err(ParseFault::Syntax(failures.to_error(&input))),
-                Stats::default(),
-            );
-        }
-        // A pre-cancelled or pre-expired governor aborts before any work.
-        if let Err(kind) = gov.poll() {
-            return (Err(ParseFault::Abort(kind)), Stats::default());
-        }
-        let mut run = Run::new(self, text);
-        run.install_governor(gov);
-        run.install_telemetry(telem);
-        let result = run.eval_prod(self.root, 0);
-        let outcome = governed_outcome(&mut run, text, result);
-        run.finish_governed(gov);
-        run.finish_stats();
-        (outcome, run.stats)
-    }
-
-    /// The governed counterpart of [`CompiledGrammar::parse_incremental`]:
-    /// parses with (and returns) a caller-supplied [`ChunkMemo`] under
-    /// `gov`'s limits.
-    ///
-    /// The memo table comes back in a consistent state even when the parse
-    /// aborts mid-flight — entries stored before the abort are complete
-    /// answers, and nothing is stored afterwards. Reusing those entries
-    /// for a retry is sound whenever the grammar was compiled with the
-    /// `left-recursion` optimization (e.g. [`OptConfig::incremental`]);
-    /// without it, Warth-style seed growing parks provisional answers in
-    /// the table mid-evaluation, so an aborted run's memo must be reset
-    /// before reuse.
-    ///
-    /// [`OptConfig::incremental`]: crate::OptConfig::incremental
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledGrammar::parse_governed`]; the memo table is returned
-    /// in every case.
-    pub fn parse_incremental_governed(
-        &self,
-        text: &str,
-        memo: ChunkMemo,
-        gov: &Governor,
-    ) -> (Result<SyntaxTree, ParseFault>, Stats, ChunkMemo) {
-        self.parse_incremental_governed_telemetry(text, memo, gov, &Telemetry::disabled())
-    }
-
-    /// [`CompiledGrammar::parse_incremental_governed`] with telemetry
-    /// hooks reporting to `telem`.
-    pub fn parse_incremental_governed_telemetry(
-        &self,
-        text: &str,
-        mut memo: ChunkMemo,
-        gov: &Governor,
-        telem: &Telemetry,
-    ) -> (Result<SyntaxTree, ParseFault>, Stats, ChunkMemo) {
-        if text.len() > u32::MAX as usize {
-            let input = Input::new("");
-            let mut failures = Failures::new();
-            failures.note(0, "input smaller than 4 GiB");
-            memo.reset_for(self.n_slots, 0);
-            return (
-                Err(ParseFault::Syntax(failures.to_error(&input))),
-                Stats::default(),
-                memo,
-            );
-        }
-        if !self.cfg.chunks {
-            let (result, stats) = self.parse_governed_telemetry(text, gov, telem);
-            return (result, stats, memo);
-        }
-        if let Err(kind) = gov.poll() {
-            return (Err(ParseFault::Abort(kind)), Stats::default(), memo);
-        }
-        if !memo.fits(self.n_slots, text.len() as u32) {
-            memo.reset_for(self.n_slots, text.len() as u32);
-        }
-        let mut run = Run::new(self, text);
-        run.memo = Memo::Chunk(memo);
-        run.install_governor(gov);
-        run.install_telemetry(telem);
-        let result = run.eval_prod(self.root, 0);
-        let outcome = governed_outcome(&mut run, text, result);
-        run.finish_governed(gov);
-        run.finish_stats();
-        let mut stats = std::mem::take(&mut run.stats);
-        let Memo::Chunk(mut memo) = run.memo else {
-            unreachable!("installed as Chunk above")
-        };
-        stats.memo_entries_shifted += memo.take_entries_shifted();
-        (outcome, stats, memo)
-    }
-
-    /// Like [`CompiledGrammar::parse`], additionally recording
-    /// alternative-level grammar coverage (which alternatives of which
-    /// productions matched). For directly left-recursive productions the
-    /// alternative indices cover base alternatives first, then tails.
-    ///
-    /// With the `left-recursion` optimization *disabled* (seed growing),
-    /// left-recursive productions record hits against their original
-    /// alternative list instead of the base/tail split.
-    pub fn parse_with_coverage(
-        &self,
-        text: &str,
-    ) -> (Result<SyntaxTree, ParseError>, crate::Coverage) {
-        let names = self.prods.iter().map(|p| p.name.clone()).collect();
-        let labels = self
-            .prods
-            .iter()
-            .map(|p| {
-                let alts: Vec<&CAlt> = match &p.lr {
-                    Some(lr) => lr.bases.iter().chain(lr.tails.iter()).collect(),
-                    None => p.alts.iter().collect(),
-                };
-                alts.iter()
-                    .map(|a| a.node_kind.label().map(str::to_owned))
-                    .collect()
-            })
-            .collect();
-        let mut run = Run::new(self, text);
-        run.coverage = Some(crate::Coverage::new(names, labels));
-        let result = run.eval_prod(self.root, 0);
-        let outcome = match result {
-            Ok((end, value)) if end == run.input.len() => {
-                Ok(SyntaxTree::new(text, run.materialize(value)))
-            }
-            Ok((end, _)) => {
-                run.note(end, "end of input");
-                Err(run.failures.to_error(&run.input))
-            }
-            Err(_) => Err(run.failures.to_error(&run.input)),
-        };
-        (outcome, run.coverage.expect("installed above"))
-    }
-
-    /// Like [`CompiledGrammar::parse`], additionally recording a bounded
-    /// chronological [`Trace`] of production evaluations (entries, exits,
-    /// memo hits) — the grammar-debugging companion to coverage. At most
-    /// `max_events` events are kept.
-    ///
-    /// [`Trace`]: crate::Trace
-    pub fn parse_with_trace(
-        &self,
-        text: &str,
-        max_events: usize,
-    ) -> (Result<SyntaxTree, ParseError>, crate::Trace) {
-        let telem =
-            Telemetry::collector(max_events).with_mask(modpeg_telemetry::mask::TRACE);
-        let (outcome, _) = self.parse_with_telemetry(text, &telem);
-        (outcome, crate::Trace::from_report(&telem.take_report()))
-    }
-
-    /// Parses a prefix of `text`: succeeds as soon as the root matches,
-    /// returning the tree and the number of bytes consumed.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseError`] when the root does not match at offset 0.
-    pub fn parse_prefix(&self, text: &str) -> Result<(SyntaxTree, u32), ParseError> {
-        if text.len() > u32::MAX as usize {
-            let input = Input::new("");
-            let mut failures = Failures::new();
-            failures.note(0, "input smaller than 4 GiB");
-            return Err(failures.to_error(&input));
-        }
-        let mut run = Run::new(self, text);
-        match run.eval_prod(self.root, 0) {
-            Ok((end, value)) => Ok((SyntaxTree::new(text, run.materialize(value)), end)),
-            Err(_) => Err(run.failures.to_error(&run.input)),
-        }
-    }
-
-    /// Parses `text` in SAX event mode: the semantic value is streamed to
-    /// `sink` as [`ParseEvent`](modpeg_runtime::ParseEvent)s straight from
-    /// the parse region — no owned tree is materialized, which is the
-    /// cheapest mode for lint/grep/count workloads that only want spans.
-    /// The event stream is a balanced pre-order walk; rebuilding it with a
-    /// [`TreeBuilder`](modpeg_runtime::TreeBuilder) yields a tree
-    /// structurally identical to [`CompiledGrammar::parse`]'s (the
-    /// conformance oracle asserts this round-trip).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseError`] exactly as [`CompiledGrammar::parse`]
-    /// does; no events are emitted for a failed parse.
-    pub fn parse_events(
-        &self,
-        text: &str,
-        sink: &mut dyn modpeg_runtime::EventSink,
-    ) -> Result<(), ParseError> {
-        if text.len() > u32::MAX as usize {
-            let input = Input::new("");
-            let mut failures = Failures::new();
-            failures.note(0, "input smaller than 4 GiB");
-            return Err(failures.to_error(&input));
-        }
-        let mut run = Run::new(self, text);
-        let result = run.eval_prod(self.root, 0);
-        match result {
-            Ok((end, value)) if end == run.input.len() => {
-                run.emit(&value, sink);
-                Ok(())
-            }
-            Ok((end, _)) => {
-                run.note(end, "end of input");
-                Err(run.failures.to_error(&run.input))
-            }
-            Err(_) => Err(run.failures.to_error(&run.input)),
-        }
-    }
-
-    /// The incremental counterpart of [`CompiledGrammar::parse_events`]:
-    /// streams events from a parse that reuses (and returns) a
-    /// caller-supplied [`ChunkMemo`]. This is the zero-copy steady state:
-    /// with a recycled table, the region's capacity is already there, no
-    /// owned tree is built, and a parse allocates almost nothing.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledGrammar::parse_events`]; the memo table is returned
-    /// in every case.
-    pub fn parse_events_incremental(
-        &self,
-        text: &str,
-        mut memo: ChunkMemo,
-        sink: &mut dyn modpeg_runtime::EventSink,
-    ) -> (Result<(), ParseError>, Stats, ChunkMemo) {
-        if text.len() > u32::MAX as usize {
-            let input = Input::new("");
-            let mut failures = Failures::new();
-            failures.note(0, "input smaller than 4 GiB");
-            memo.reset_for(self.n_slots, 0);
-            return (Err(failures.to_error(&input)), Stats::default(), memo);
-        }
-        if !self.cfg.chunks {
-            let (result, stats) = {
-                let r = self.parse_events(text, sink);
-                (r, Stats::default())
-            };
-            return (result, stats, memo);
-        }
-        if !memo.fits(self.n_slots, text.len() as u32) {
-            memo.reset_for(self.n_slots, text.len() as u32);
-        }
-        let mut run = Run::new(self, text);
-        run.memo = Memo::Chunk(memo);
-        let result = run.eval_prod(self.root, 0);
-        let outcome = match result {
-            Ok((end, value)) if end == run.input.len() => {
-                run.emit(&value, sink);
-                Ok(())
-            }
-            Ok((end, _)) => {
-                run.note(end, "end of input");
-                Err(run.failures.to_error(&run.input))
-            }
-            Err(_) => Err(run.failures.to_error(&run.input)),
-        };
-        run.finish_stats();
-        let mut stats = std::mem::take(&mut run.stats);
-        let Memo::Chunk(mut memo) = run.memo else {
-            unreachable!("installed as Chunk above")
-        };
-        stats.memo_entries_shifted += memo.take_entries_shifted();
-        (outcome, stats, memo)
-    }
-
-    /// Parses `text` resiliently: a failed region becomes a synthesized
-    /// `$error` node, parsing resumes at the next synchronization byte
-    /// from `policy` (see [`CompiledGrammar::recover_policy`]), and the
-    /// result is always a tree spanning the whole input plus the
-    /// [`Diagnostics`] for everything recovered from — the never-die
-    /// entry point for editors and batch checkers.
+    /// Parses `text` resiliently (see [`Output::Resilient`]), with the
+    /// policy usually taken from [`CompiledGrammar::recover_policy`]: the
+    /// never-die entry point for editors and batch checkers.
     ///
     /// # Examples
     ///
@@ -1756,174 +1407,138 @@ impl CompiledGrammar {
     /// # Ok::<(), modpeg_core::Diagnostics>(())
     /// ```
     pub fn parse_resilient(&self, text: &str, policy: &RecoverPolicy) -> Recovered<SyntaxTree> {
-        self.parse_resilient_with_stats(text, policy).0
+        engine::ungoverned_recovered(self.resilient(text, &ParseOptions::default(), policy).0)
     }
 
-    /// Like [`CompiledGrammar::parse_resilient`], also returning the
-    /// run's [`Stats`]. One evaluator (and one memo table) lives across
-    /// all restart attempts, so re-attempting after an error re-derives
-    /// nothing that was already memoized.
-    pub fn parse_resilient_with_stats(
-        &self,
-        text: &str,
-        policy: &RecoverPolicy,
-    ) -> (Recovered<SyntaxTree>, Stats) {
-        if text.len() > u32::MAX as usize {
-            return (oversize_recovered(), Stats::default());
-        }
-        let mut run = Run::new(self, text);
-        let input = Input::new(text);
-        let (value, diagnostics) =
-            recover::drive_infallible(&input, policy, |pos, fresh| {
-                resilient_attempt(&mut run, pos, fresh)
-            });
-        run.finish_stats();
-        (
-            Recovered {
-                tree: SyntaxTree::new(text, value),
-                diagnostics,
-            },
-            run.stats,
-        )
-    }
-
-    /// The governed counterpart of [`CompiledGrammar::parse_resilient`]:
-    /// the never-die guarantee holds up to `gov`'s resource limits.
+    /// [`Engine::parse_with`] with (and returning) a caller-supplied
+    /// [`ChunkMemo`], enabling incremental reparsing: columns carried
+    /// over from an earlier parse of the same document — after
+    /// [`ChunkMemo::apply_edit`] translated them past an edit — are
+    /// served as memo hits instead of being re-evaluated.
+    ///
+    /// The grammar must have been compiled with the `chunks` optimization
+    /// (e.g. [`OptConfig::incremental`]); without it the call degrades to
+    /// an ordinary full parse. A memo table whose geometry does not match
+    /// this grammar and `text` is reset rather than trusted. Grammars that
+    /// use parser state must not carry memo tables across edits at all —
+    /// check [`CompiledGrammar::uses_state`] and reparse from scratch.
+    ///
+    /// The table comes back in a consistent state even when a governed
+    /// parse aborts mid-flight: entries stored before the abort are
+    /// complete answers, and nothing is stored afterwards. Reusing them
+    /// for a retry is sound whenever the grammar was compiled with the
+    /// `left-recursion` optimization; without it, seed growing parks
+    /// provisional answers in the table mid-evaluation, so an aborted
+    /// run's memo must be reset before reuse.
+    ///
+    /// [`OptConfig::incremental`]: crate::OptConfig::incremental
     ///
     /// # Errors
     ///
-    /// Returns the abort kind when a limit stopped the run; syntax errors
-    /// never fail a resilient parse.
-    pub fn parse_resilient_governed(
-        &self,
-        text: &str,
-        policy: &RecoverPolicy,
-        gov: &Governor,
-    ) -> (Result<Recovered<SyntaxTree>, ParseAbort>, Stats) {
-        if text.len() > u32::MAX as usize {
-            return (Ok(oversize_recovered()), Stats::default());
-        }
-        if let Err(kind) = gov.poll() {
-            return (Err(kind), Stats::default());
-        }
-        let mut run = Run::new(self, text);
-        run.install_governor(gov);
-        let input = Input::new(text);
-        let driven = recover::drive(&input, policy, |pos, fresh| {
-            let attempt = resilient_attempt(&mut run, pos, fresh);
-            match run.aborted {
-                Some(kind) => Err(kind),
-                None => Ok(attempt),
-            }
-        });
-        run.finish_governed(gov);
-        run.finish_stats();
-        let outcome = driven.map(|(value, diagnostics)| Recovered {
-            tree: SyntaxTree::new(text, value),
-            diagnostics,
-        });
-        (outcome, run.stats)
-    }
-
-    /// The incremental counterpart of
-    /// [`CompiledGrammar::parse_resilient`]: parses with (and returns) a
-    /// caller-supplied [`ChunkMemo`], so a resilient reparse after an
-    /// edit reuses every memo column the edit (and recovery restarts)
-    /// did not invalidate.
-    pub fn parse_resilient_incremental(
-        &self,
-        text: &str,
-        policy: &RecoverPolicy,
-        mut memo: ChunkMemo,
-    ) -> (Recovered<SyntaxTree>, Stats, ChunkMemo) {
-        if text.len() > u32::MAX as usize {
-            memo.reset_for(self.n_slots, 0);
-            return (oversize_recovered(), Stats::default(), memo);
-        }
-        if !self.cfg.chunks {
-            let (rec, stats) = self.parse_resilient_with_stats(text, policy);
-            return (rec, stats, memo);
-        }
-        if !memo.fits(self.n_slots, text.len() as u32) {
-            memo.reset_for(self.n_slots, text.len() as u32);
-        }
-        let mut run = Run::new(self, text);
-        run.memo = Memo::Chunk(memo);
-        let input = Input::new(text);
-        let (value, diagnostics) =
-            recover::drive_infallible(&input, policy, |pos, fresh| {
-                resilient_attempt(&mut run, pos, fresh)
-            });
-        run.finish_stats();
-        let mut stats = std::mem::take(&mut run.stats);
-        let Memo::Chunk(mut memo) = run.memo else {
-            unreachable!("installed as Chunk above")
-        };
-        stats.memo_entries_shifted += memo.take_entries_shifted();
-        (
-            Recovered {
-                tree: SyntaxTree::new(text, value),
-                diagnostics,
-            },
-            stats,
-            memo,
-        )
-    }
-
-    /// The event-mode counterpart of
-    /// [`CompiledGrammar::parse_resilient`]: streams the recovered tree
-    /// as [`ParseEvent`]s, with skipped regions bracketed by
-    /// `ErrorStart`/`ErrorEnd`. The driver assembles the fragments first
-    /// and replays them, so every engine emits the identical stream.
+    /// As [`Engine::parse_with`]; the memo table is returned (and
+    /// reusable) in every case.
     ///
-    /// [`ParseEvent`]: modpeg_runtime::ParseEvent
-    pub fn parse_resilient_events(
+    /// # Examples
+    ///
+    /// ```
+    /// use modpeg_core::{CharClass, Expr, GrammarBuilder, ProdKind};
+    /// use modpeg_interp::{CompiledGrammar, OptConfig, Output, ParseOptions, Parsed};
+    /// use modpeg_runtime::ChunkMemo;
+    ///
+    /// let mut b = GrammarBuilder::new("m");
+    /// b.production("Word", ProdKind::Text, vec![(None, Expr::Capture(Box::new(
+    ///     Expr::Plus(Box::new(Expr::Class(CharClass::from_ranges(
+    ///         vec![('a', 'z')], false)))))))]);
+    /// let grammar = b.build("Word")?;
+    /// let parser = CompiledGrammar::compile(&grammar, OptConfig::incremental())?;
+    /// let opts = ParseOptions::default();
+    ///
+    /// // Priming parse populates the memo table.
+    /// let memo = ChunkMemo::new(parser.memo_slot_count(), 5);
+    /// let (tree, _, mut memo) = parser.parse_incremental("hello", memo, &opts, Output::Tree);
+    /// assert!(tree.is_ok());
+    ///
+    /// // Replace bytes 1..3 ("el") with one byte, then reparse the edited
+    /// // text reusing whatever survived the edit.
+    /// memo.apply_edit(1, 2, 1);
+    /// let (tree, _, _) = parser.parse_incremental("halo", memo, &opts, Output::Tree);
+    /// let Ok(Parsed::Tree(tree)) = tree else { panic!("still a word") };
+    /// assert_eq!(tree.to_sexpr(), "\"halo\"");
+    /// # Ok::<(), modpeg_core::Diagnostics>(())
+    /// ```
+    pub fn parse_incremental(
         &self,
         text: &str,
-        policy: &RecoverPolicy,
-        sink: &mut dyn modpeg_runtime::EventSink,
-    ) -> Diagnostics {
-        let rec = self.parse_resilient(text, policy);
-        recover::emit_recovered_events(rec.tree.root(), sink);
-        rec.diagnostics
+        memo: ChunkMemo,
+        opts: &ParseOptions<'_>,
+        output: Output<'_>,
+    ) -> (Result<Parsed, ParseFault>, Stats, ChunkMemo) {
+        let memo = Some(memo);
+        let d = self.drive(text, opts, output, Extras { memo, ..Extras::default() });
+        (d.outcome, d.stats, d.memo.expect("a supplied memo is handed back"))
+    }
+
+    /// Like [`CompiledGrammar::parse`], additionally recording
+    /// alternative-level grammar coverage (which alternatives of which
+    /// productions matched). For directly left-recursive productions the
+    /// alternative indices cover base alternatives first, then tails.
+    ///
+    /// With the `left-recursion` optimization *disabled* (seed growing),
+    /// left-recursive productions record hits against their original
+    /// alternative list instead of the base/tail split.
+    pub fn parse_with_coverage(
+        &self,
+        text: &str,
+    ) -> (Result<SyntaxTree, ParseError>, crate::Coverage) {
+        let extras = Extras { coverage: true, ..Extras::default() };
+        let d = self.drive(text, &ParseOptions::default(), Output::Tree, extras);
+        let coverage = d.coverage.unwrap_or_else(|| self.empty_coverage());
+        (engine::ungoverned(d.outcome.map(Parsed::into_tree)), coverage)
+    }
+
+    /// Like [`CompiledGrammar::parse`], additionally recording a bounded
+    /// chronological [`Trace`] of production evaluations (entries, exits,
+    /// memo hits) — the grammar-debugging companion to coverage. At most
+    /// `max_events` events are kept.
+    ///
+    /// [`Trace`]: crate::Trace
+    pub fn parse_with_trace(
+        &self,
+        text: &str,
+        max_events: usize,
+    ) -> (Result<SyntaxTree, ParseError>, crate::Trace) {
+        let telem =
+            Telemetry::collector(max_events).with_mask(modpeg_telemetry::mask::TRACE);
+        let (outcome, _) = self.tree(text, &ParseOptions::default().with_telemetry(&telem));
+        (engine::ungoverned(outcome), crate::Trace::from_report(&telem.take_report()))
+    }
+
+    /// Parses a prefix of `text`: succeeds as soon as the root matches,
+    /// returning the tree and the number of bytes consumed.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParseError`] when the root does not match at offset 0.
+    pub fn parse_prefix(&self, text: &str) -> Result<(SyntaxTree, u32), ParseError> {
+        let extras = Extras { prefix: true, ..Extras::default() };
+        let d = self.drive(text, &ParseOptions::default(), Output::Tree, extras);
+        engine::ungoverned(d.outcome).map(|parsed| (parsed.into_tree(), d.end))
     }
 }
 
-/// One restart attempt for the resilient driver: evaluate the root at
-/// `pos` — resetting the failure accumulator first when the driver just
-/// consumed a diagnostic — and report the outcome with the semantic
-/// value detached from the arena.
-fn resilient_attempt(run: &mut Run<'_, '_>, pos: u32, fresh: bool) -> recover::Attempt {
-    if fresh {
-        run.failures.reset();
+impl Engine for CompiledGrammar {
+    fn parse_with(
+        &self,
+        text: &str,
+        opts: &ParseOptions<'_>,
+        output: Output<'_>,
+    ) -> (Result<Parsed, ParseFault>, Stats) {
+        let d = self.drive(text, opts, output, Extras::default());
+        (d.outcome, d.stats)
     }
-    let end = match run.eval_prod(run.g.root, pos) {
-        Ok((end, value)) => Some((end, run.materialize(value))),
-        Err(_) => None,
-    };
-    recover::Attempt {
-        end,
-        error: run.failures.to_error(&run.input),
-    }
-}
 
-/// The resilient report for an input too large for 32-bit spans: one
-/// truncated diagnostic, an empty tree.
-fn oversize_recovered() -> Recovered<SyntaxTree> {
-    let input = Input::new("");
-    let mut failures = Failures::new();
-    failures.note(0, "input smaller than 4 GiB");
-    let diagnostics = Diagnostics {
-        errors: vec![recover::Diagnostic {
-            error: failures.to_error(&input),
-            skipped: Span::point(0),
-        }],
-        truncated: true,
-        failures_dropped: 0,
-    };
-    Recovered {
-        tree: SyntaxTree::new("", Value::Unit),
-        diagnostics,
+    fn recover_policy(&self) -> RecoverPolicy {
+        CompiledGrammar::recover_policy(self)
     }
 }
 
@@ -1932,6 +1547,36 @@ mod tests {
     use super::*;
     use crate::OptConfig;
     use modpeg_core::{CharClass, Expr as E, Grammar, GrammarBuilder};
+    use modpeg_runtime::recover;
+
+    fn incremental(
+        c: &CompiledGrammar,
+        text: &str,
+        memo: ChunkMemo,
+    ) -> (Result<SyntaxTree, ParseError>, Stats, ChunkMemo) {
+        let (r, stats, memo) =
+            c.parse_incremental(text, memo, &ParseOptions::default(), Output::Tree);
+        (engine::ungoverned(r.map(Parsed::into_tree)), stats, memo)
+    }
+
+    fn incremental_governed(
+        c: &CompiledGrammar,
+        text: &str,
+        memo: ChunkMemo,
+        gov: &Governor,
+    ) -> (Result<SyntaxTree, ParseFault>, Stats, ChunkMemo) {
+        let (r, stats, memo) =
+            c.parse_incremental(text, memo, &ParseOptions::governed(gov), Output::Tree);
+        (r.map(Parsed::into_tree), stats, memo)
+    }
+
+    fn governed(
+        c: &CompiledGrammar,
+        text: &str,
+        gov: &Governor,
+    ) -> (Result<SyntaxTree, ParseFault>, Stats) {
+        c.tree(text, &ParseOptions::governed(gov))
+    }
 
     fn r(name: &str) -> E<String> {
         E::Ref(name.into())
@@ -2413,12 +2058,12 @@ mod tests {
         let c = CompiledGrammar::compile(&g, OptConfig::incremental()).unwrap();
         let before = "1+2*3+(4-5)+6";
         let memo = ChunkMemo::new(c.memo_slot_count(), before.len() as u32);
-        let (r1, _, mut memo) = c.parse_incremental(before, memo);
+        let (r1, _, mut memo) = incremental(&c, before, memo);
         assert!(r1.is_ok());
         // Replace the "3" at offset 4 with "33".
         let after = "1+2*33+(4-5)+6";
         memo.apply_edit(4, 1, 2);
-        let (r2, stats, _) = c.parse_incremental(after, memo);
+        let (r2, stats, _) = incremental(&c, after, memo);
         assert_eq!(
             r2.unwrap().to_sexpr(),
             c.parse(after).unwrap().to_sexpr()
@@ -2436,10 +2081,10 @@ mod tests {
         let g = calc_grammar();
         let c = CompiledGrammar::compile(&g, OptConfig::incremental()).unwrap();
         let memo = ChunkMemo::new(c.memo_slot_count(), 3);
-        let (r1, _, mut memo) = c.parse_incremental("1+2", memo);
+        let (r1, _, mut memo) = incremental(&c, "1+2", memo);
         assert!(r1.is_ok());
         memo.apply_edit(3, 0, 1);
-        let (r2, _, _) = c.parse_incremental("1+24", memo);
+        let (r2, _, _) = incremental(&c, "1+24", memo);
         assert_eq!(
             r2.unwrap().to_sexpr(),
             c.parse("1+24").unwrap().to_sexpr()
@@ -2452,12 +2097,12 @@ mod tests {
         let c = CompiledGrammar::compile(&g, OptConfig::incremental()).unwrap();
         let before = "(1+2)*(3+4)*(5+6)";
         let memo = ChunkMemo::new(c.memo_slot_count(), before.len() as u32);
-        let (r1, _, mut memo) = c.parse_incremental(before, memo);
+        let (r1, _, mut memo) = incremental(&c, before, memo);
         assert!(r1.is_ok());
         // Delete "*(3+4)" (offsets 5..11).
         let after = "(1+2)*(5+6)";
         memo.apply_edit(5, 6, 0);
-        let (r2, _, _) = c.parse_incremental(after, memo);
+        let (r2, _, _) = incremental(&c, after, memo);
         assert_eq!(
             r2.unwrap().to_sexpr(),
             c.parse(after).unwrap().to_sexpr()
@@ -2470,7 +2115,7 @@ mod tests {
         let c = CompiledGrammar::compile(&g, OptConfig::incremental()).unwrap();
         let text = "1+2*3";
         let memo = ChunkMemo::new(c.memo_slot_count(), text.len() as u32);
-        let (r, _, memo) = c.parse_incremental(text, memo);
+        let (r, _, memo) = incremental(&c, text, memo);
         assert!(r.is_ok());
         // The root evaluation examined the whole input (and peeked EOF).
         assert!(memo.extent_at(0) >= text.len() as u32);
@@ -2481,7 +2126,7 @@ mod tests {
         let g = calc_grammar();
         let c = CompiledGrammar::compile(&g, OptConfig::incremental()).unwrap();
         let memo = ChunkMemo::new(1, 1); // deliberately wrong geometry
-        let (r, _, memo) = c.parse_incremental("1+2*3", memo);
+        let (r, _, memo) = incremental(&c, "1+2*3", memo);
         assert!(r.is_ok());
         assert!(memo.fits(c.memo_slot_count(), 5));
     }
@@ -2492,7 +2137,7 @@ mod tests {
         let cfg = OptConfig::all_except("chunks").unwrap();
         let c = CompiledGrammar::compile(&g, cfg).unwrap();
         let memo = ChunkMemo::new(3, 3);
-        let (r, _, _) = c.parse_incremental("1+2", memo);
+        let (r, _, _) = incremental(&c, "1+2", memo);
         assert!(r.is_ok());
     }
 
@@ -2524,7 +2169,7 @@ mod tests {
             let c = CompiledGrammar::compile(&g, cfg).unwrap();
             for input in ["7", "1+2*3-4", "(1-2)*(3+4)", "1+", ""] {
                 let gov = Governor::new();
-                let (governed, _) = c.parse_governed(input, &gov);
+                let (governed, _) = governed(&c, input, &gov);
                 match (c.parse(input), governed) {
                     (Ok(a), Ok(b)) => assert_eq!(a.to_sexpr(), b.to_sexpr(), "{cfg:?} {input}"),
                     (Err(a), Err(b)) => {
@@ -2545,19 +2190,19 @@ mod tests {
             let c = CompiledGrammar::compile(&g, cfg).unwrap();
             let input = "(1+2)*(3-4)+(5+6)*7";
             let probe = Governor::new();
-            assert!(c.parse_governed(input, &probe).0.is_ok());
+            assert!(governed(&c, input, &probe).0.is_ok());
             let total = probe.steps();
             assert!(total > 10, "expected a nontrivial step count, got {total}");
             // Starving the parse at any point aborts with FuelExhausted...
             for fuel in [0, 1, total / 2, total - 1] {
                 let gov = Governor::new().with_fuel(fuel);
-                let (r, _) = c.parse_governed(input, &gov);
+                let (r, _) = governed(&c, input, &gov);
                 assert_eq!(r.unwrap_err().abort(), Some(ParseAbort::FuelExhausted), "{cfg:?} fuel={fuel}");
                 assert_eq!(gov.tripped(), Some(ParseAbort::FuelExhausted));
             }
             // ...exactly `total` steps suffice, and the result is identical.
             let gov = Governor::new().with_fuel(total);
-            let (r, _) = c.parse_governed(input, &gov);
+            let (r, _) = governed(&c, input, &gov);
             assert_eq!(
                 r.unwrap().to_sexpr(),
                 c.parse(input).unwrap().to_sexpr(),
@@ -2575,7 +2220,7 @@ mod tests {
         for cfg in [OptConfig::none(), OptConfig::all()] {
             let c = CompiledGrammar::compile(&g, cfg).unwrap();
             let gov = Governor::new();
-            let (r, _) = c.parse_governed(&deep, &gov);
+            let (r, _) = governed(&c, &deep, &gov);
             assert_eq!(r.unwrap_err().abort(), Some(ParseAbort::DepthExceeded), "{cfg:?}");
         }
         // A tight explicit ceiling rejects shallow nesting a generous one
@@ -2584,11 +2229,11 @@ mod tests {
         let c = CompiledGrammar::compile(&g, OptConfig::all()).unwrap();
         let tight = Governor::new().with_max_depth(40);
         assert_eq!(
-            c.parse_governed(&mild, &tight).0.unwrap_err().abort(),
+            governed(&c, &mild, &tight).0.unwrap_err().abort(),
             Some(ParseAbort::DepthExceeded)
         );
         let roomy = Governor::new().with_max_depth(1_000);
-        assert!(c.parse_governed(&mild, &roomy).0.is_ok());
+        assert!(governed(&c, &mild, &roomy).0.is_ok());
     }
 
     #[test]
@@ -2598,11 +2243,11 @@ mod tests {
         let token = modpeg_runtime::CancelToken::new();
         token.cancel();
         let gov = Governor::new().with_cancel(token);
-        let (r, stats) = c.parse_governed("1+2", &gov);
+        let (r, stats) = governed(&c, "1+2", &gov);
         assert_eq!(r.unwrap_err().abort(), Some(ParseAbort::Cancelled));
         assert_eq!(stats.productions_evaluated, 0);
         let gov = Governor::new().with_deadline(std::time::Duration::ZERO);
-        let (r, _) = c.parse_governed("1+2", &gov);
+        let (r, _) = governed(&c, "1+2", &gov);
         assert_eq!(r.unwrap_err().abort(), Some(ParseAbort::DeadlineExceeded));
     }
 
@@ -2612,14 +2257,14 @@ mod tests {
         let c = CompiledGrammar::compile(&g, OptConfig::all()).unwrap();
         let input = vec!["(1+2)*(3-4)*(5+6)"; 80].join("+");
         let unbounded = Governor::new();
-        let (r, full_stats) = c.parse_governed(&input, &unbounded);
+        let (r, full_stats) = governed(&c, &input, &unbounded);
         assert!(r.is_ok());
         assert!(full_stats.memo_bytes > 4_096, "{full_stats:?}");
         // A budget well below the natural footprint: the ladder evicts
         // and/or goes transient, but the parse still completes correctly.
         let budget = full_stats.memo_bytes / 4;
         let gov = Governor::new().with_memo_budget(budget);
-        let (r, stats) = c.parse_governed(&input, &gov);
+        let (r, stats) = governed(&c, &input, &gov);
         assert_eq!(
             r.unwrap().to_sexpr(),
             c.parse(&input).unwrap().to_sexpr()
@@ -2631,7 +2276,7 @@ mod tests {
         assert!(stats.memo_bytes <= budget, "{stats:?}");
         // A budget below the irreducible floor aborts with MemoBudget.
         let gov = Governor::new().with_memo_budget(16);
-        let (r, _) = c.parse_governed(&input, &gov);
+        let (r, _) = governed(&c, &input, &gov);
         assert_eq!(r.unwrap_err().abort(), Some(ParseAbort::MemoBudget));
     }
 
@@ -2645,14 +2290,14 @@ mod tests {
         // on, so pre-abort entries are complete answers).
         let probe = Governor::new();
         let memo = ChunkMemo::new(c.memo_slot_count(), text.len() as u32);
-        let (r, _, memo) = c.parse_incremental_governed(text, memo, &probe);
+        let (r, _, memo) = incremental_governed(&c, text, memo, &probe);
         assert!(r.is_ok());
         let total = probe.steps();
         let mut memo = memo;
         memo.reset_for(c.memo_slot_count(), text.len() as u32);
         for fuel in [1, total / 3, 2 * total / 3] {
             let gov = Governor::new().with_fuel(fuel);
-            let (r, _, survived) = c.parse_incremental_governed(text, memo, &gov);
+            let (r, _, survived) = incremental_governed(&c, text, memo, &gov);
             assert_eq!(r.unwrap_err().abort(), Some(ParseAbort::FuelExhausted));
             // Every surviving column still respects the extent invariant
             // that apply_edit relies on (extents are recorded alongside
@@ -2661,7 +2306,7 @@ mod tests {
                 assert!(pos.saturating_add(extent) <= text.len() as u32 + 1);
             }
             let retry = Governor::new();
-            let (r, _, m) = c.parse_incremental_governed(text, survived, &retry);
+            let (r, _, m) = incremental_governed(&c, text, survived, &retry);
             assert_eq!(
                 r.unwrap().to_sexpr(),
                 c.parse(text).unwrap().to_sexpr(),
@@ -2672,11 +2317,11 @@ mod tests {
         }
         // apply_edit after an abort stays sound: edit, then reparse.
         let gov = Governor::new().with_fuel(total / 2);
-        let (r, _, mut survived) = c.parse_incremental_governed(text, memo, &gov);
+        let (r, _, mut survived) = incremental_governed(&c, text, memo, &gov);
         assert!(r.is_err());
         let edited = "(1+2)*(30+4)+(5-6)*(7+8)";
         survived.apply_edit(7, 1, 2);
-        let (r, _, _) = c.parse_incremental_governed(edited, survived, &Governor::new());
+        let (r, _, _) = incremental_governed(&c, edited, survived, &Governor::new());
         assert_eq!(
             r.unwrap().to_sexpr(),
             c.parse(edited).unwrap().to_sexpr()
@@ -2812,11 +2457,11 @@ mod tests {
         let g = stmts_grammar();
         let c = CompiledGrammar::compile(&g, OptConfig::all()).unwrap();
         let gov = Governor::new().with_fuel(3);
-        let (r, _) = c.parse_resilient_governed("ab;12;cd;", &c.recover_policy(), &gov);
+        let (r, _) = c.resilient("ab;12;cd;", &ParseOptions::governed(&gov), &c.recover_policy());
         assert_eq!(r.unwrap_err(), ParseAbort::FuelExhausted);
         // With ample fuel the governed path agrees with the plain one.
         let gov = Governor::new();
-        let (r, _) = c.parse_resilient_governed("ab;12;cd;", &c.recover_policy(), &gov);
+        let (r, _) = c.resilient("ab;12;cd;", &ParseOptions::governed(&gov), &c.recover_policy());
         let rec = r.unwrap();
         assert_eq!(rec.diagnostics.error_count(), 1);
         assert_eq!(
@@ -2832,7 +2477,10 @@ mod tests {
         let text = "ab;12;cd;";
         let policy = c.recover_policy();
         let memo = ChunkMemo::new(c.memo_slot_count(), text.len() as u32);
-        let (rec, _, memo) = c.parse_resilient_incremental(text, &policy, memo);
+        let opts = ParseOptions::default();
+        let resilient = Output::Resilient(&policy);
+        let (rec, _, memo) = c.parse_incremental(text, memo, &opts, resilient);
+        let Ok(Parsed::Recovered(rec)) = rec else { panic!("resilient parses never fail") };
         assert_eq!(rec.diagnostics.error_count(), 1);
         assert_eq!(
             rec.tree.to_sexpr(),
@@ -2840,7 +2488,8 @@ mod tests {
         );
         // The surviving memo is reusable: a second resilient parse over the
         // same text hits it and agrees.
-        let (again, stats, _) = c.parse_resilient_incremental(text, &policy, memo);
+        let (again, stats, _) = c.parse_incremental(text, memo, &opts, Output::Resilient(&policy));
+        let Ok(Parsed::Recovered(again)) = again else { panic!("resilient parses never fail") };
         assert_eq!(again.tree.to_sexpr(), rec.tree.to_sexpr());
         assert!(stats.memo_hits >= 1, "{stats:?}");
     }
@@ -2852,10 +2501,10 @@ mod tests {
         let text = "ab;12;cd;";
         let policy = c.recover_policy();
         let mut sink = modpeg_runtime::TreeBuilder::new();
-        let diags = c.parse_resilient_events(text, &policy, &mut sink);
-        assert_eq!(diags.error_count(), 1);
-        let rebuilt = sink.finish().expect("balanced event stream");
         let rec = c.parse_resilient(text, &policy);
+        modpeg_runtime::recover::emit_recovered_events(rec.tree.root(), &mut sink);
+        assert_eq!(rec.diagnostics.error_count(), 1);
+        let rebuilt = sink.finish().expect("balanced event stream");
         assert_eq!(rebuilt.to_sexpr(text), rec.tree.root().to_sexpr(text));
     }
 }

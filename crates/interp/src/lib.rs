@@ -32,12 +32,14 @@ mod compile;
 mod config;
 mod coverage;
 mod eval;
+pub mod engine;
 mod trace;
 mod tuner;
 
 pub use compile::CompiledGrammar;
 pub use config::{OptConfig, OPT_COUNT, OPT_NAMES};
 pub use coverage::Coverage;
+pub use engine::{Engine, Output, ParseOptions, Parsed};
 pub use trace::{Trace, TraceEvent, TraceOutcome};
 pub use tuner::derive_plan;
 

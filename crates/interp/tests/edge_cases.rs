@@ -139,7 +139,9 @@ fn parse_prefix_consumes_maximal_root_match() {
 
 #[test]
 fn parse_incremental_empty_input_round_trips() {
+    use modpeg_interp::{Output, ParseOptions};
     use modpeg_runtime::ChunkMemo;
+    let opts = ParseOptions::default();
     let p = compile(
         "module m; public Node P = <P> \"a\"* !. ;",
         "m",
@@ -148,19 +150,21 @@ fn parse_incremental_empty_input_round_trips() {
     );
     // Empty document: parse, grow it with an edit, shrink back to empty.
     let memo = ChunkMemo::new(p.memo_slot_count(), 0);
-    let (r, _, mut memo) = p.parse_incremental("", memo);
+    let (r, _, mut memo) = p.parse_incremental("", memo, &opts, Output::Tree);
     assert!(r.is_ok(), "empty input: {r:?}");
     memo.apply_edit(0, 0, 2);
-    let (r, _, mut memo) = p.parse_incremental("aa", memo);
+    let (r, _, mut memo) = p.parse_incremental("aa", memo, &opts, Output::Tree);
     assert!(r.is_ok(), "after insertion: {r:?}");
     memo.apply_edit(0, 2, 0);
-    let (r, _, _) = p.parse_incremental("", memo);
+    let (r, _, _) = p.parse_incremental("", memo, &opts, Output::Tree);
     assert!(r.is_ok(), "back to empty: {r:?}");
 }
 
 #[test]
 fn parse_incremental_eof_watermark_invalidates_on_append() {
+    use modpeg_interp::{Output, ParseOptions};
     use modpeg_runtime::ChunkMemo;
+    let opts = ParseOptions::default();
     // The root peeks EOF via `!.`, so its memo entry at column 0 examined
     // one byte *past* the end of input. Appending at exactly the old EOF
     // must invalidate that entry — reusing it would wrongly accept the
@@ -172,11 +176,11 @@ fn parse_incremental_eof_watermark_invalidates_on_append() {
         OptConfig::incremental(),
     );
     let memo = ChunkMemo::new(p.memo_slot_count(), 3);
-    let (r, _, mut memo) = p.parse_incremental("123", memo);
+    let (r, _, mut memo) = p.parse_incremental("123", memo, &opts, Output::Tree);
     assert!(r.is_ok());
     // Append one digit at EOF (offset 3).
     memo.apply_edit(3, 0, 1);
-    let (r, stats, mut memo) = p.parse_incremental("1234", memo);
+    let (r, stats, mut memo) = p.parse_incremental("1234", memo, &opts, Output::Tree);
     assert!(r.is_ok(), "append at EOF: {r:?}");
     assert_eq!(
         stats.memo_columns_reused, 0,
@@ -185,6 +189,6 @@ fn parse_incremental_eof_watermark_invalidates_on_append() {
     // And an edit *past* the old watermark on the grown document still
     // reparses correctly to a rejection when the input turns invalid.
     memo.apply_edit(4, 0, 1);
-    let (r, _, _) = p.parse_incremental("1234x", memo);
+    let (r, _, _) = p.parse_incremental("1234x", memo, &opts, Output::Tree);
     assert!(r.is_err(), "trailing junk must reject");
 }

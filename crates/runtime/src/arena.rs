@@ -142,7 +142,7 @@ impl Arena {
     }
 
     /// Whether `v`'s composite parts (if any) are handles into *this*
-    /// arena at its current generation. Leaves and legacy `Rc` values
+    /// arena at its current generation. Leaves and owned `Rc` values
     /// trivially qualify.
     pub fn owns_composites_of(&self, v: &Value) -> bool {
         match v {
@@ -254,19 +254,24 @@ impl Arena {
             other => {
                 debug_assert!(
                     !has_arena_ref(other),
-                    "legacy composite value contains arena handles"
+                    "owned composite value contains arena handles"
                 );
                 other.clone()
             }
         }
     }
 
-    /// A copy of `v` with every span translated by `delta` bytes,
-    /// arena-aware: arena subtrees are *deep-copied* into fresh region
-    /// nodes (memo entries share subtrees, so shifting in place would
-    /// double-shift), exactly mirroring the legacy [`Value::shifted`]
-    /// copy semantics. The region grows across edits and is reclaimed
-    /// wholesale at the next reset.
+    /// A copy of `v` with every span translated by `delta` bytes, for
+    /// memo entries that move with the text right of an edit: arena
+    /// subtrees are *deep-copied* into fresh region nodes (memo entries
+    /// share subtrees, so shifting in place would double-shift). The
+    /// region grows across edits and is reclaimed wholesale at the next
+    /// reset.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an `Rc` composite: values in a chunked memo table are
+    /// always built in its region.
     pub fn shifted(&mut self, v: &Value, delta: i64) -> Value {
         if delta == 0 {
             return v.clone();
@@ -291,7 +296,11 @@ impl Arena {
                     None => Value::ArenaList(self.alloc_list(children)),
                 }
             }
-            other => other.shifted(delta),
+            Value::Text(span) => Value::Text(span.shifted(delta)),
+            Value::Node(_) | Value::List(_) => {
+                unreachable!("chunked memo entries are built in the region")
+            }
+            leaf @ (Value::Unit | Value::Absent | Value::OwnedText(_)) => leaf.clone(),
         }
     }
 
@@ -334,7 +343,7 @@ impl Arena {
     }
 
     /// Streams `v` as [`ParseEvent`]s without materializing any owned
-    /// tree: arena nodes are resolved in place, legacy values are walked
+    /// tree: arena nodes are resolved in place, owned `Rc` values are walked
     /// structurally, text leaves arrive as borrowed spans whenever the
     /// parse produced spans.
     pub fn emit_events(&self, v: &Value, sink: &mut dyn EventSink) {
@@ -385,7 +394,7 @@ impl Arena {
     }
 
     /// Structural equality of two values, either of which may be
-    /// region-backed (resolved against *this* arena) or legacy:
+    /// region-backed (resolved against *this* arena) or owned:
     /// text leaves compare by the characters they denote in `input`,
     /// node spans are ignored — the arena-aware analogue of
     /// [`Value::same_shape`].
@@ -429,9 +438,9 @@ impl Arena {
     }
 }
 
-/// Whether a legacy composite value transitively contains arena handles
+/// Whether an owned composite value transitively contains arena handles
 /// (an invariant violation: arena-mode parsers build *all* composite
-/// values in the region, so legacy `Rc` composites never hold handles).
+/// values in the region, so owned `Rc` composites never hold handles).
 fn has_arena_ref(v: &Value) -> bool {
     match v {
         Value::ArenaNode(_) | Value::ArenaList(_) => true,
@@ -518,7 +527,7 @@ impl ArenaInvariants {
                     other => {
                         if has_arena_ref(other) {
                             return Err(format!(
-                                "node {i} child {j}: legacy composite holds arena handles"
+                                "node {i} child {j}: owned composite holds arena handles"
                             ));
                         }
                     }

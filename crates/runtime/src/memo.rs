@@ -158,9 +158,8 @@ impl Column {
     }
 
     /// Applies the pending bias to every entry, returning how many entries
-    /// were rewritten. Region-backed values are shifted through `arena`
-    /// (a deep copy into fresh region nodes, mirroring the legacy
-    /// copy-on-shift semantics).
+    /// were rewritten. Values are shifted through `arena` (a deep copy
+    /// into fresh region nodes).
     fn settle(&mut self, arena: &mut Arena) -> u64 {
         if self.bias == 0 {
             return 0;

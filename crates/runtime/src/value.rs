@@ -208,42 +208,6 @@ impl Value {
         }
     }
 
-    /// A copy of this value with every span translated by `delta` bytes.
-    ///
-    /// Used by incremental reparsing when memoized results move with the
-    /// text to the right of an edit. The copy is a fresh structure —
-    /// subtrees are *not* mutated in place, because `Rc`-shared subtrees
-    /// may also be reachable from memo entries whose columns did not move.
-    ///
-    /// Region-backed values cannot be shifted without their arena: use
-    /// [`Arena::shifted`](crate::Arena::shifted), which handles both
-    /// representations (this method returns arena handles unchanged, and
-    /// debug-asserts against the misuse).
-    pub fn shifted(&self, delta: i64) -> Value {
-        if delta == 0 {
-            return self.clone();
-        }
-        match self {
-            Value::Unit => Value::Unit,
-            Value::Absent => Value::Absent,
-            Value::ArenaNode(_) | Value::ArenaList(_) => {
-                debug_assert!(false, "arena-backed values shift through Arena::shifted");
-                self.clone()
-            }
-            Value::OwnedText(s) => Value::OwnedText(Rc::clone(s)),
-            Value::Text(span) => Value::Text(span.shifted(delta)),
-            Value::Node(n) => {
-                let children = n.children.iter().map(|c| c.shifted(delta)).collect();
-                Value::Node(Rc::new(Node {
-                    kind: n.kind.clone(),
-                    children,
-                    span: n.span.map(|s| s.shifted(delta)),
-                }))
-            }
-            Value::List(l) => Value::List(Rc::new(l.iter().map(|c| c.shifted(delta)).collect())),
-        }
-    }
-
     fn write_sexpr(&self, input: &str, out: &mut String) {
         match self {
             Value::Unit => out.push_str("()"),

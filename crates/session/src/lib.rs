@@ -54,6 +54,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use modpeg_interp::engine::{self, Output, ParseOptions, Parsed};
 use modpeg_interp::CompiledGrammar;
 use modpeg_runtime::{
     ChunkMemo, Governor, GovernorLimits, ParseAbort, ParseError, ParseFault, RecoverPolicy,
@@ -186,17 +187,11 @@ impl ParseSession {
         self.primed = false;
     }
 
-    /// Parses the current document, reusing memoized results that
-    /// survived the edits since the previous parse (when sound — see the
-    /// [crate docs](crate)).
-    ///
-    /// # Errors
-    ///
-    /// Returns the same [`ParseError`] a from-scratch parse of the
-    /// current text would, except that inside reused regions the "farthest
-    /// failure" detail can be coarser (those failures were never
-    /// re-explored).
-    pub fn parse(&mut self) -> Result<SyntaxTree, ParseError> {
+    /// The session's one parse path: parses the current document with
+    /// the carried memo table (reset first when reuse is unsound) and the
+    /// attached telemetry, then folds the preceding edits' reuse counters
+    /// into the run's stats.
+    fn run(&mut self, gov: Option<&Governor>, output: Output<'_>) -> Result<Parsed, ParseFault> {
         if !self.reusable || !self.primed {
             // No sound reuse possible: parse against an empty table
             // (keeping its allocations).
@@ -204,50 +199,13 @@ impl ParseSession {
                 .reset_for(self.grammar.memo_slot_count(), self.doc.len() as u32);
         }
         let memo = std::mem::replace(&mut self.memo, ChunkMemo::new(0, 0));
+        let opts = ParseOptions {
+            governor: gov,
+            telemetry: Some(&self.telem),
+        };
         let (result, mut stats, memo) =
             self.grammar
-                .parse_incremental_telemetry(&self.doc, memo, &self.telem);
-        self.memo = memo;
-        self.primed = true;
-        stats.memo_columns_reused += self.pending.memo_columns_reused;
-        stats.memo_columns_invalidated += self.pending.memo_columns_invalidated;
-        self.pending = Stats::default();
-        self.telem.session_reuse(
-            stats.memo_columns_reused,
-            stats.memo_columns_invalidated,
-            stats.memo_entries_shifted,
-        );
-        self.total_stats.merge(&stats);
-        self.last_stats = stats;
-        result
-    }
-
-    /// Like [`ParseSession::parse`], but under `gov`'s resource limits.
-    ///
-    /// On abort the session stays fully usable: the document is untouched,
-    /// and a later [`ParseSession::parse`] (or a governed retry with a
-    /// fresh or [reset] governor) picks up where the session left off.
-    /// Memo entries stored before the abort are carried into the retry
-    /// when that is sound — the grammar must be incremental-reusable *and*
-    /// compiled with the `left-recursion` optimization (Warth-style seed
-    /// growing parks provisional answers in the table mid-evaluation, so
-    /// without it an aborted run's memo is discarded instead).
-    ///
-    /// [reset]: Governor::reset
-    ///
-    /// # Errors
-    ///
-    /// [`ParseFault::Syntax`] exactly when [`ParseSession::parse`] would
-    /// fail; [`ParseFault::Abort`] when a resource budget ran out first.
-    pub fn parse_governed(&mut self, gov: &Governor) -> Result<SyntaxTree, ParseFault> {
-        if !self.reusable || !self.primed {
-            self.memo
-                .reset_for(self.grammar.memo_slot_count(), self.doc.len() as u32);
-        }
-        let memo = std::mem::replace(&mut self.memo, ChunkMemo::new(0, 0));
-        let (result, mut stats, memo) =
-            self.grammar
-                .parse_incremental_governed_telemetry(&self.doc, memo, gov, &self.telem);
+                .parse_incremental(&self.doc, memo, &opts, output);
         self.memo = memo;
         // An aborted run's table holds only complete answers, but under
         // seed-growing left recursion it may also hold parked provisional
@@ -269,6 +227,41 @@ impl ParseSession {
         result
     }
 
+    /// Parses the current document, reusing memoized results that
+    /// survived the edits since the previous parse (when sound — see the
+    /// [crate docs](crate)).
+    ///
+    /// # Errors
+    ///
+    /// Returns the same [`ParseError`] a from-scratch parse of the
+    /// current text would, except that inside reused regions the "farthest
+    /// failure" detail can be coarser (those failures were never
+    /// re-explored).
+    pub fn parse(&mut self) -> Result<SyntaxTree, ParseError> {
+        engine::ungoverned(self.run(None, Output::Tree)).map(Parsed::into_tree)
+    }
+
+    /// Like [`ParseSession::parse`], but under `gov`'s resource limits.
+    ///
+    /// On abort the session stays fully usable: the document is untouched,
+    /// and a later [`ParseSession::parse`] (or a governed retry with a
+    /// fresh or [reset] governor) picks up where the session left off.
+    /// Memo entries stored before the abort are carried into the retry
+    /// when that is sound — the grammar must be incremental-reusable *and*
+    /// compiled with the `left-recursion` optimization (Warth-style seed
+    /// growing parks provisional answers in the table mid-evaluation, so
+    /// without it an aborted run's memo is discarded instead).
+    ///
+    /// [reset]: Governor::reset
+    ///
+    /// # Errors
+    ///
+    /// [`ParseFault::Syntax`] exactly when [`ParseSession::parse`] would
+    /// fail; [`ParseFault::Abort`] when a resource budget ran out first.
+    pub fn parse_governed(&mut self, gov: &Governor) -> Result<SyntaxTree, ParseFault> {
+        self.run(Some(gov), Output::Tree).map(Parsed::into_tree)
+    }
+
     /// Like [`ParseSession::parse`], but with panic-mode error recovery:
     /// never fails, returning a partial tree (skipped regions become
     /// `$error` nodes) plus the diagnostics report. The session's memo
@@ -284,26 +277,10 @@ impl ParseSession {
     ///
     /// [`CompiledGrammar::parse_resilient`]: modpeg_interp::CompiledGrammar::parse_resilient
     pub fn parse_resilient(&mut self, policy: &RecoverPolicy) -> Recovered<SyntaxTree> {
-        if !self.reusable || !self.primed {
-            self.memo
-                .reset_for(self.grammar.memo_slot_count(), self.doc.len() as u32);
+        match self.run(None, Output::Resilient(policy)) {
+            Ok(parsed) => parsed.into_recovered(),
+            Err(fault) => unreachable!("an ungoverned resilient parse failed: {fault}"),
         }
-        let memo = std::mem::replace(&mut self.memo, ChunkMemo::new(0, 0));
-        let (result, mut stats, memo) =
-            self.grammar.parse_resilient_incremental(&self.doc, policy, memo);
-        self.memo = memo;
-        self.primed = true;
-        stats.memo_columns_reused += self.pending.memo_columns_reused;
-        stats.memo_columns_invalidated += self.pending.memo_columns_invalidated;
-        self.pending = Stats::default();
-        self.telem.session_reuse(
-            stats.memo_columns_reused,
-            stats.memo_columns_invalidated,
-            stats.memo_entries_shifted,
-        );
-        self.total_stats.merge(&stats);
-        self.last_stats = stats;
-        result
     }
 
     /// Like [`ParseSession::parse`], but in SAX event mode: the semantic
@@ -322,25 +299,7 @@ impl ParseSession {
         &mut self,
         sink: &mut dyn modpeg_runtime::EventSink,
     ) -> Result<(), ParseError> {
-        if !self.reusable || !self.primed {
-            self.memo
-                .reset_for(self.grammar.memo_slot_count(), self.doc.len() as u32);
-        }
-        let memo = std::mem::replace(&mut self.memo, ChunkMemo::new(0, 0));
-        let (result, mut stats, memo) = self.grammar.parse_events_incremental(&self.doc, memo, sink);
-        self.memo = memo;
-        self.primed = true;
-        stats.memo_columns_reused += self.pending.memo_columns_reused;
-        stats.memo_columns_invalidated += self.pending.memo_columns_invalidated;
-        self.pending = Stats::default();
-        self.telem.session_reuse(
-            stats.memo_columns_reused,
-            stats.memo_columns_invalidated,
-            stats.memo_entries_shifted,
-        );
-        self.total_stats.merge(&stats);
-        self.last_stats = stats;
-        result
+        engine::ungoverned(self.run(None, Output::Events(sink))).map(|_| ())
     }
 
     /// Statistics of the most recent [`ParseSession::parse`], including
@@ -632,7 +591,7 @@ impl BatchEngine {
 mod tests {
     use super::*;
     use modpeg_core::{CharClass, Expr as E, Grammar, GrammarBuilder, ProdKind};
-    use modpeg_interp::OptConfig;
+    use modpeg_interp::{Engine, OptConfig};
     use modpeg_workload::rng::StdRng;
 
     fn compile(g: &Grammar) -> Rc<CompiledGrammar> {
@@ -1095,7 +1054,7 @@ mod tests {
                 let g = modpeg_grammars::calc_grammar().unwrap();
                 let c = CompiledGrammar::compile(&g, OptConfig::all()).unwrap();
                 let gov = Governor::new();
-                c.parse_governed(d, &gov).0.unwrap();
+                c.tree(d, &ParseOptions::governed(&gov)).0.unwrap();
                 gov.steps()
             })
             .collect();

@@ -19,9 +19,10 @@
 //! backtrack stack above a call frame always belongs to that frame —
 //! failure dispatch never needs to repair the call stack.
 
+use modpeg_interp::engine::Evaluator;
 use modpeg_runtime::{
-    ChunkMemo, Fail, Failures, Governor, Input, MemoAnswer, MemoTable, NodeKind, ParseAbort,
-    ScopedState, Span, StateMark, Stats, Value, DEFAULT_MAX_DEPTH,
+    ChunkMemo, EventSink, Fail, Failures, Governor, Input, MemoAnswer, MemoTable, NodeKind,
+    ParseAbort, ParseError, ScopedState, Span, StateMark, Stats, Value, DEFAULT_MAX_DEPTH,
 };
 use modpeg_telemetry::{SpanToken, Telemetry};
 
@@ -64,7 +65,7 @@ struct Mark {
 
 pub(crate) struct Machine<'p, 'i> {
     p: &'p VmProgram,
-    pub(crate) input: Input<'i>,
+    input: Input<'i>,
     pc: u32,
     pub(crate) pos: u32,
     /// The production-value register: finishers write it, `Ret` reads it.
@@ -74,17 +75,14 @@ pub(crate) struct Machine<'p, 'i> {
     bts: Vec<BtFrame>,
     calls: Vec<CallFrame>,
     memo: ChunkMemo,
-    /// Whether semantic values are built in the memo's arena (the memo is
-    /// always chunked here, so this mirrors the program's toggle).
-    use_arena: bool,
     pub(crate) state: ScopedState,
-    pub(crate) failures: Failures,
+    failures: Failures,
     pub(crate) stats: Stats,
     suppress: u32,
     telem: Telemetry,
     prod_depth: u32,
     gov: Option<&'p Governor>,
-    pub(crate) aborted: Option<ParseAbort>,
+    aborted: Option<ParseAbort>,
     max_depth: u32,
     memo_budget: u64,
     memo_frozen: bool,
@@ -113,7 +111,6 @@ impl<'p, 'i> Machine<'p, 'i> {
             bts: Vec::with_capacity(64),
             calls: Vec::with_capacity(64),
             memo,
-            use_arena: p.arena_enabled(),
             state: ScopedState::new(),
             failures,
             stats: Stats::default(),
@@ -157,7 +154,7 @@ impl<'p, 'i> Machine<'p, 'i> {
         self.stats.failure_bytes = self.failures.retained_bytes() as u64;
     }
 
-    pub(crate) fn note(&mut self, pos: u32, desc: &str) {
+    fn note(&mut self, pos: u32, desc: &str) {
         if self.suppress == 0 {
             self.failures.note(pos, desc);
         }
@@ -344,58 +341,19 @@ impl<'p, 'i> Machine<'p, 'i> {
 
     fn make_node(&mut self, kind: &NodeKind, children: Vec<Value>, span: Option<Span>) -> Value {
         self.stats.nodes_built += 1;
-        if self.use_arena {
-            self.stats.value_bytes += (modpeg_runtime::Arena::NODE_BYTES
-                + children.len() * std::mem::size_of::<Value>())
-                as u64;
-            return Value::ArenaNode(self.memo.arena_mut().alloc_node(kind.clone(), children, span));
-        }
-        self.stats.value_bytes += (std::mem::size_of::<modpeg_runtime::Node>()
-            + children.capacity() * std::mem::size_of::<Value>())
+        self.stats.value_bytes += (modpeg_runtime::Arena::NODE_BYTES
+            + children.len() * std::mem::size_of::<Value>())
             as u64;
-        match span {
-            Some(s) => Value::Node(std::rc::Rc::new(modpeg_runtime::Node::with_span(
-                kind.clone(),
-                children,
-                s,
-            ))),
-            None => Value::Node(std::rc::Rc::new(modpeg_runtime::Node::new(
-                kind.clone(),
-                children,
-            ))),
-        }
+        Value::ArenaNode(self.memo.arena_mut().alloc_node(kind.clone(), children, span))
     }
 
     fn make_list(&mut self, items: Vec<Value>) -> Value {
-        if self.use_arena {
-            let items = if items
-                .iter()
-                .any(|v| matches!(v, Value::List(_) | Value::ArenaList(_)))
-            {
-                let arena = self.memo.arena();
-                let mut flat = Vec::with_capacity(items.len());
-                for v in items {
-                    match v {
-                        Value::List(l) => flat.extend(l.iter().cloned()),
-                        Value::ArenaList(r) => flat.extend(arena.children(r).iter().cloned()),
-                        other => flat.push(other),
-                    }
-                }
-                flat
-            } else {
-                items
-            };
-            self.stats.lists_built += 1;
-            self.stats.value_bytes += (modpeg_runtime::Arena::NODE_BYTES
-                + items.len() * std::mem::size_of::<Value>())
-                as u64;
-            return Value::ArenaList(self.memo.arena_mut().alloc_list(items));
-        }
-        let items = if items.iter().any(|v| matches!(v, Value::List(_))) {
+        let items = if items.iter().any(|v| matches!(v, Value::ArenaList(_))) {
+            let arena = self.memo.arena();
             let mut flat = Vec::with_capacity(items.len());
             for v in items {
                 match v {
-                    Value::List(l) => flat.extend(l.iter().cloned()),
+                    Value::ArenaList(r) => flat.extend(arena.children(r).iter().cloned()),
                     other => flat.push(other),
                 }
             }
@@ -404,26 +362,10 @@ impl<'p, 'i> Machine<'p, 'i> {
             items
         };
         self.stats.lists_built += 1;
-        self.stats.value_bytes +=
-            (std::mem::size_of::<Vec<Value>>() + items.capacity() * std::mem::size_of::<Value>())
-                as u64;
-        Value::list(items)
-    }
-
-    /// Detaches `value` from the machine's arena before it escapes into a
-    /// [`modpeg_runtime::SyntaxTree`]. Legacy trees pass through as-is.
-    pub(crate) fn materialize(&self, value: Value) -> Value {
-        if self.use_arena {
-            self.memo.arena().copy_out(&value)
-        } else {
-            value
-        }
-    }
-
-    /// Streams `value` as SAX events straight from the machine's arena
-    /// (the arena walker also handles legacy heap values).
-    pub(crate) fn emit(&self, value: &Value, sink: &mut dyn modpeg_runtime::EventSink) {
-        self.memo.arena().emit_events(value, sink);
+        self.stats.value_bytes += (modpeg_runtime::Arena::NODE_BYTES
+            + items.len() * std::mem::size_of::<Value>())
+            as u64;
+        Value::ArenaList(self.memo.arena_mut().alloc_list(items))
     }
 
     /// The name a state operation works with: the operand's first textual
@@ -438,23 +380,9 @@ impl<'p, 'i> Machine<'p, 'i> {
 
     // ----- the dispatch loop -----
 
-    /// One recovery attempt: re-enters the bootstrap (whose `Recover`
-    /// prologue cleans the per-attempt registers) at `pos`. When `fresh`,
-    /// the failure accumulator is reset first — the recovery driver asks
-    /// for that exactly when the previous accumulated failures have been
-    /// consumed into a diagnostic.
-    pub(crate) fn run_attempt(&mut self, pos: u32, fresh: bool) -> Result<(u32, Value), Fail> {
-        if fresh {
-            self.failures.reset();
-        }
-        self.pc = 0;
-        self.pos = pos;
-        self.run()
-    }
-
     /// Runs the program from the bootstrap sequence to `Halt` or overall
     /// failure, returning the end position and root value on success.
-    pub(crate) fn run(&mut self) -> Result<(u32, Value), Fail> {
+    fn run(&mut self) -> Result<(u32, Value), Fail> {
         let p = self.p;
         macro_rules! dispatch_fail {
             () => {{
@@ -787,12 +715,8 @@ impl<'p, 'i> Machine<'p, 'i> {
                         let rest = self.vstack.split_off(m1.vlen as usize);
                         let rest_list = self.make_list(rest);
                         let mut items = self.vstack.split_off(m0.vlen as usize);
-                        match &rest_list {
-                            Value::List(l) => items.extend(l.iter().cloned()),
-                            Value::ArenaList(r) => {
-                                items.extend(self.memo.arena().children(*r).iter().cloned())
-                            }
-                            _ => {}
+                        if let Value::ArenaList(r) = &rest_list {
+                            items.extend(self.memo.arena().children(*r).iter().cloned());
                         }
                         let list = self.make_list(items);
                         self.vstack.push(list);
@@ -906,4 +830,37 @@ impl<'p, 'i> Machine<'p, 'i> {
         }
     }
 
+}
+
+impl Evaluator for Machine<'_, '_> {
+    /// Re-enters the bootstrap (whose `Recover` prologue cleans the
+    /// per-attempt registers) at `pos`.
+    fn eval_root(&mut self, pos: u32, fresh: bool) -> Result<(u32, Value), Fail> {
+        if fresh {
+            self.failures.reset();
+        }
+        self.pc = 0;
+        self.pos = pos;
+        self.run()
+    }
+
+    fn aborted(&self) -> Option<ParseAbort> {
+        self.aborted
+    }
+
+    fn note_end(&mut self, end: u32) {
+        self.note(end, "end of input");
+    }
+
+    fn error(&self) -> ParseError {
+        self.failures.to_error(&self.input)
+    }
+
+    fn materialize(&self, value: Value) -> Value {
+        self.memo.arena().copy_out(&value)
+    }
+
+    fn emit(&self, value: &Value, sink: &mut dyn EventSink) {
+        self.memo.arena().emit_events(value, sink);
+    }
 }

@@ -27,8 +27,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("wrote {path}");
             println!(
                 "\nTo use it: include the file in a crate that depends on\n\
-                 modpeg-runtime and call `parse(text)` — see modpeg-grammars'\n\
-                 build.rs for the build-time version of this workflow."
+                 modpeg-runtime, modpeg-telemetry and modpeg-interp and call\n\
+                 `parse(text)` — see modpeg-grammars' build.rs for the\n\
+                 build-time version of this workflow."
             );
         }
         None => {

@@ -8,6 +8,7 @@
 //! cargo run --example json_pretty -- file.json
 //! ```
 
+use modpeg::interp::{Engine, ParseOptions};
 use modpeg::runtime::Value;
 
 fn pretty(value: &Value, input: &str, indent: usize, out: &mut String) {
@@ -74,7 +75,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(path) => std::fs::read_to_string(path)?,
         None => SAMPLE.to_owned(),
     };
-    let (result, stats) = modpeg::grammars::generated::json::parse_with_stats(&text);
+    let json = modpeg::grammars::generated::json::GeneratedEngine;
+    let (result, stats) = json.tree(&text, &ParseOptions::default());
     let tree = result?;
     let mut out = String::new();
     pretty(tree.root(), tree.input(), 0, &mut out);

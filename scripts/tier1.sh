@@ -17,6 +17,12 @@ cargo build --release --workspace
 echo "== tier-1: cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== tier-1: cargo check perfbench =="
+# The benchmark builds against the crates through path dependencies and
+# its own committed lock file; checking it here catches a public-API
+# change that would break it.
+cargo check --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== tier-1: cargo test -q --workspace =="
 cargo test -q --workspace
 

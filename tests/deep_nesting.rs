@@ -9,10 +9,13 @@
 
 use std::rc::Rc;
 
-use modpeg::interp::{CompiledGrammar, OptConfig};
+use modpeg::interp::{CompiledGrammar, Engine, OptConfig, ParseOptions};
 use modpeg::runtime::{Governor, ParseAbort, ParseFault, DEFAULT_MAX_DEPTH};
 use modpeg::session::ParseSession;
 use modpeg_baseline::BacktrackParser;
+
+const JSON: modpeg::grammars::generated::json::GeneratedEngine =
+    modpeg::grammars::generated::json::GeneratedEngine;
 
 const DEEP: &str = include_str!("data/deep_nesting.json");
 
@@ -32,7 +35,7 @@ fn interpreter_aborts_gracefully_on_deep_nesting() {
     for cfg in [OptConfig::none(), OptConfig::all()] {
         let parser = CompiledGrammar::compile(&g, cfg).unwrap();
         let gov = Governor::new();
-        let (r, _) = parser.parse_governed(DEEP, &gov);
+        let (r, _) = parser.tree(DEEP, &ParseOptions::governed(&gov));
         match r {
             Err(ParseFault::Abort(ParseAbort::DepthExceeded)) => {}
             other => panic!("expected depth abort, got {other:?}"),
@@ -44,7 +47,7 @@ fn interpreter_aborts_gracefully_on_deep_nesting() {
 #[test]
 fn generated_parser_aborts_gracefully_on_deep_nesting() {
     let gov = Governor::new();
-    let (r, _) = modpeg::grammars::generated::json::parse_governed(DEEP, &gov);
+    let (r, _) = JSON.tree(DEEP, &ParseOptions::governed(&gov));
     assert_eq!(r.unwrap_err().abort(), Some(ParseAbort::DepthExceeded));
 }
 
@@ -87,10 +90,10 @@ fn wide_documents_of_the_same_size_still_parse() {
         s
     };
     let gov = Governor::new();
-    let (r, _) = modpeg::grammars::generated::json::parse_governed(&wide, &gov);
+    let (r, _) = JSON.tree(&wide, &ParseOptions::governed(&gov));
     assert!(r.is_ok());
     let g = modpeg::grammars::json_grammar().unwrap();
     let parser = CompiledGrammar::compile(&g, OptConfig::all()).unwrap();
     let gov = Governor::new();
-    assert!(parser.parse_governed(&wide, &gov).0.is_ok());
+    assert!(parser.tree(&wide, &ParseOptions::governed(&gov)).0.is_ok());
 }
