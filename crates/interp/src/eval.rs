@@ -481,7 +481,7 @@ impl<'g, 'i> Run<'g, 'i> {
                 if !first.admits(byte) {
                     // Dispatch skips the alternative, but the farthest-
                     // failure record must still reflect what was expected.
-                    self.note(pos, &desc.clone());
+                    self.note(pos, desc);
                     continue;
                 }
             }
@@ -553,7 +553,7 @@ impl<'g, 'i> Run<'g, 'i> {
             for tail in tails {
                 if let Some((first, desc)) = &tail.first {
                     if !first.admits(byte) {
-                        self.note(end, &desc.clone());
+                        self.note(end, desc);
                         continue;
                     }
                 }
@@ -676,7 +676,7 @@ impl<'g, 'i> Run<'g, 'i> {
                         match self.peek_byte(p) {
                             Some(x) if x == b => p += 1,
                             _ => {
-                                self.note(pos, &desc.clone());
+                                self.note(pos, desc);
                                 return Err(Fail);
                             }
                         }
@@ -689,7 +689,7 @@ impl<'g, 'i> Run<'g, 'i> {
                 match self.peek_char(pos) {
                     Some((c, len)) if table.matches_char(c) => Ok((pos + len, Out::None)),
                     _ => {
-                        self.note(pos, &desc.clone());
+                        self.note(pos, desc);
                         Err(Fail)
                     }
                 }
@@ -722,7 +722,7 @@ impl<'g, 'i> Run<'g, 'i> {
                     if let Some(sets) = first {
                         let (set, desc) = &sets[i];
                         if !set.admits(byte) {
-                            self.note(pos, &desc.clone());
+                            self.note(pos, desc);
                             continue;
                         }
                     }

@@ -118,20 +118,56 @@ impl Arena {
         self.alloc(None, items, None)
     }
 
+    /// Allocates a node whose children are `stack[base..]`, draining them
+    /// straight into the shared pool (no intermediate vector).
+    pub fn alloc_node_from(
+        &mut self,
+        kind: NodeKind,
+        stack: &mut Vec<Value>,
+        base: usize,
+        span: Option<Span>,
+    ) -> ArenaRef {
+        let lo = self.pool.len();
+        self.pool.extend(stack.drain(base..));
+        self.seal(Some(kind), lo, span)
+    }
+
+    /// Allocates a list of the items `stack[base..]`, draining them into
+    /// the shared pool; an item that is itself an arena list contributes
+    /// its items in its place (one level of splicing).
+    pub fn alloc_list_from(&mut self, stack: &mut Vec<Value>, base: usize) -> ArenaRef {
+        let lo = self.pool.len();
+        for v in stack.drain(base..) {
+            match v {
+                Value::ArenaList(r) => {
+                    let n = self.record(r);
+                    let items = n.lo as usize..(n.lo + n.len) as usize;
+                    self.pool.extend_from_within(items);
+                }
+                other => self.pool.push(other),
+            }
+        }
+        self.seal(None, lo, None)
+    }
+
     fn alloc(&mut self, kind: Option<NodeKind>, children: Vec<Value>, span: Option<Span>) -> ArenaRef {
+        let lo = self.pool.len();
+        self.pool.extend(children);
+        self.seal(kind, lo, span)
+    }
+
+    /// Records a node over the pool entries appended since `lo`.
+    fn seal(&mut self, kind: Option<NodeKind>, lo: usize, span: Option<Span>) -> ArenaRef {
         debug_assert!(
-            children.iter().all(|c| self.owns_composites_of(c)),
+            self.pool[lo..].iter().all(|c| self.owns_composites_of(c)),
             "arena node allocated with children from another region/generation"
         );
-        let lo = self.pool.len() as u32;
-        let len = children.len() as u32;
-        self.pool.extend(children);
         let index = self.nodes.len() as u32;
         self.nodes.push(ArenaNode {
             kind,
             span,
-            lo,
-            len,
+            lo: lo as u32,
+            len: (self.pool.len() - lo) as u32,
         });
         self.allocated += 1;
         self.lifetime_allocated += 1;
@@ -730,6 +766,38 @@ mod tests {
         assert_eq!(arena.allocations(), 3);
         assert_eq!(arena.to_sexpr(&v, "xy"), "(Root (Inner [\"x\" \"y\"]) \"x\" () ~)");
         ArenaInvariants::check(&arena, 2).unwrap();
+    }
+
+    #[test]
+    fn stack_entry_points_drain_and_splice() {
+        let mut arena = Arena::new();
+        let (a, b, c) = (
+            Value::Text(Span::new(0, 1)),
+            Value::Text(Span::new(1, 2)),
+            Value::Text(Span::new(2, 3)),
+        );
+        let inner = arena.alloc_list(vec![b.clone(), c.clone()]);
+        let mut stack = vec![
+            Value::Unit,
+            a.clone(),
+            Value::ArenaList(inner),
+            Value::Absent,
+        ];
+        let list = arena.alloc_list_from(&mut stack, 1);
+        assert_eq!(stack, vec![Value::Unit]);
+        assert_eq!(arena.children(list), [a.clone(), b, c, Value::Absent]);
+
+        stack.push(Value::ArenaList(list));
+        let node = arena.alloc_node_from(NodeKind::new("N"), &mut stack, 0, Some(Span::new(0, 3)));
+        assert!(stack.is_empty());
+        // Nodes take their children verbatim: no splicing.
+        assert_eq!(arena.children(node), [Value::Unit, Value::ArenaList(list)]);
+        assert_eq!(arena.span(node), Some(Span::new(0, 3)));
+        assert_eq!(
+            arena.to_sexpr(&Value::ArenaNode(node), "xyz"),
+            "(N () [\"x\" \"y\" \"z\" ~])"
+        );
+        ArenaInvariants::check(&arena, 3).unwrap();
     }
 
     #[test]

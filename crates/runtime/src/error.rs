@@ -8,7 +8,6 @@
 //! expected there. [`Failures`] implements both strategies so the cost of
 //! the unoptimized one is measurable.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::input::Input;
@@ -24,10 +23,18 @@ const MAX_RECORDED: usize = 1 << 22;
 /// the expected terminals there. In *recording* mode it additionally keeps
 /// every individual failure, as an unoptimized parser would allocate error
 /// objects.
+///
+/// The expected set lives in reused buffers: `expected[..live]` holds the
+/// descriptions noted at `farthest`, unique, in the order they were first
+/// noted; the strings past `live` are spare capacity from earlier offsets,
+/// overwritten in place when the set grows again. Once the buffers have
+/// reached the largest set a parse needs, farthest-only noting allocates
+/// nothing. Readers get the set sorted.
 #[derive(Debug, Clone)]
 pub struct Failures {
     farthest: u32,
-    expected: BTreeSet<String>,
+    expected: Vec<String>,
+    live: usize,
     /// Individual failure records `(offset, expected)` in recording mode.
     recorded: Option<Vec<(u32, String)>>,
     dropped: u64,
@@ -38,7 +45,8 @@ impl Failures {
     pub fn new() -> Self {
         Failures {
             farthest: 0,
-            expected: BTreeSet::new(),
+            expected: Vec::new(),
+            live: 0,
             recorded: None,
             dropped: 0,
         }
@@ -48,10 +56,8 @@ impl Failures {
     /// every failure allocates a record, as in a naïve implementation.
     pub fn recording() -> Self {
         Failures {
-            farthest: 0,
-            expected: BTreeSet::new(),
             recorded: Some(Vec::new()),
-            dropped: 0,
+            ..Failures::new()
         }
     }
 
@@ -68,14 +74,29 @@ impl Failures {
         match offset.cmp(&self.farthest) {
             std::cmp::Ordering::Greater => {
                 self.farthest = offset;
-                self.expected.clear();
-                self.expected.insert(expected.to_owned());
+                self.live = 0;
+                self.insert(expected);
             }
-            std::cmp::Ordering::Equal => {
-                self.expected.insert(expected.to_owned());
-            }
+            std::cmp::Ordering::Equal => self.insert(expected),
             std::cmp::Ordering::Less => {}
         }
+    }
+
+    /// Adds `desc` to the live set unless it is already there, reusing a
+    /// spare buffer when one is left over from an earlier offset. The set
+    /// stays small, so a linear scan finds duplicates fastest.
+    fn insert(&mut self, desc: &str) {
+        if self.expected[..self.live].iter().any(|e| e == desc) {
+            return;
+        }
+        match self.expected.get_mut(self.live) {
+            Some(spare) => {
+                spare.clear();
+                spare.push_str(desc);
+            }
+            None => self.expected.push(desc.to_owned()),
+        }
+        self.live += 1;
     }
 
     /// The farthest offset at which a failure was noted.
@@ -98,15 +119,20 @@ impl Failures {
     /// only its own failures.
     pub fn reset(&mut self) {
         self.farthest = 0;
-        self.expected.clear();
+        self.live = 0;
         if let Some(rec) = &mut self.recorded {
             rec.clear();
         }
     }
 
-    /// Terminals expected at the farthest failure offset.
+    /// Terminals expected at the farthest failure offset, sorted.
     pub fn expected(&self) -> impl Iterator<Item = &str> {
-        self.expected.iter().map(String::as_str)
+        let mut live: Vec<&str> = self.expected[..self.live]
+            .iter()
+            .map(String::as_str)
+            .collect();
+        live.sort_unstable();
+        live.into_iter()
     }
 
     /// Number of individual failures recorded (recording mode only).
@@ -124,10 +150,12 @@ impl Failures {
 
     /// Converts the accumulated failures into a user-facing error.
     pub fn to_error(&self, input: &Input<'_>) -> ParseError {
+        let mut expected = self.expected[..self.live].to_vec();
+        expected.sort_unstable();
         ParseError {
             offset: self.farthest,
             position: input.line_col(self.farthest),
-            expected: self.expected.iter().cloned().collect(),
+            expected,
             found: input
                 .char_at(self.farthest)
                 .map(|(c, _)| c.to_string())
@@ -313,6 +341,78 @@ mod tests {
         assert_eq!(f.recorded_len(), 1);
     }
 
+    /// Drives seeded random `note` / `reset` / `to_error` sequences with
+    /// repeated offsets and descriptions, checking every step against a
+    /// straightforward model: the farthest offset plus a `BTreeSet` of
+    /// descriptions, and a count of records in recording mode.
+    #[test]
+    fn buffers_agree_with_a_btreeset_model() {
+        use std::collections::BTreeSet;
+
+        const DESCS: [&str; 8] = [
+            "digit",
+            "'('",
+            "identifier",
+            "';'",
+            "a",
+            "ab",
+            "",
+            "end of input",
+        ];
+        let input = Input::new("x = (1 + 2) * y;");
+        for recording in [false, true] {
+            for seed in 1..=64u64 {
+                let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let mut next = move || {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    rng
+                };
+                let mut f = if recording {
+                    Failures::recording()
+                } else {
+                    Failures::new()
+                };
+                let (mut farthest, mut set, mut records) =
+                    (0u32, BTreeSet::<String>::new(), 0usize);
+                for _ in 0..300 {
+                    let r = next();
+                    match r % 32 {
+                        0 => {
+                            f.reset();
+                            (farthest, records) = (0, 0);
+                            set.clear();
+                        }
+                        1 => {
+                            let err = f.to_error(&input);
+                            assert_eq!(err.offset(), farthest);
+                            assert_eq!(err.expected(), set.iter().cloned().collect::<Vec<_>>());
+                            assert_eq!(err.dropped(), 0);
+                        }
+                        _ => {
+                            let offset = (r >> 8) as u32 % 17;
+                            let desc = DESCS[(r >> 16) as usize % DESCS.len()];
+                            f.note(offset, desc);
+                            if offset > farthest {
+                                farthest = offset;
+                                set.clear();
+                            }
+                            if offset == farthest {
+                                set.insert(desc.to_owned());
+                            }
+                            records += usize::from(recording);
+                        }
+                    }
+                    assert_eq!(f.farthest(), farthest);
+                    assert!(f.expected().eq(set.iter().map(String::as_str)));
+                    assert_eq!(f.dropped(), 0);
+                    assert_eq!(f.recorded_len(), records);
+                }
+            }
+        }
+    }
+
     #[test]
     fn dropped_records_are_surfaced() {
         let mut f = Failures::recording();
@@ -325,7 +425,8 @@ mod tests {
         // a unit test, so exercise the surfacing contract directly.
         let full = Failures {
             farthest: 1,
-            expected: std::iter::once("digit".to_owned()).collect(),
+            expected: vec!["digit".to_owned()],
+            live: 1,
             recorded: Some(Vec::new()),
             dropped: 7,
         };

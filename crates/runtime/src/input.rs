@@ -1,5 +1,7 @@
 //! The input text a parser consumes.
 
+use std::cell::OnceCell;
+
 use crate::span::{LineCol, LineMap, Span};
 
 /// A parser's view of the source text.
@@ -21,15 +23,16 @@ use crate::span::{LineCol, LineMap, Span};
 #[derive(Debug, Clone)]
 pub struct Input<'i> {
     text: &'i str,
-    line_map: LineMap,
+    /// Built on first use: only error rendering and diagnostics need it.
+    line_map: OnceCell<LineMap>,
 }
 
 impl<'i> Input<'i> {
-    /// Wraps `text` and precomputes its line map.
+    /// Wraps `text`; its line map is built on first use.
     pub fn new(text: &'i str) -> Self {
         Input {
             text,
-            line_map: LineMap::new(text),
+            line_map: OnceCell::new(),
         }
     }
 
@@ -98,12 +101,12 @@ impl<'i> Input<'i> {
 
     /// Converts a byte offset to a 1-based line/column position.
     pub fn line_col(&self, offset: u32) -> LineCol {
-        self.line_map.line_col(self.text, offset)
+        self.line_map().line_col(self.text, offset)
     }
 
-    /// The precomputed line map.
+    /// The line map, built on the first call.
     pub fn line_map(&self) -> &LineMap {
-        &self.line_map
+        self.line_map.get_or_init(|| LineMap::new(self.text))
     }
 }
 
@@ -141,6 +144,11 @@ mod tests {
     #[test]
     fn line_col_delegates_to_map() {
         let i = Input::new("x\ny");
+        assert!(
+            i.line_map.get().is_none(),
+            "the map waits for its first use"
+        );
         assert_eq!(i.line_col(2).to_string(), "2:1");
+        assert_eq!(i.line_map().line_count(), 2);
     }
 }

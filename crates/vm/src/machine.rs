@@ -339,33 +339,26 @@ impl<'p, 'i> Machine<'p, 'i> {
         }
     }
 
-    fn make_node(&mut self, kind: &NodeKind, children: Vec<Value>, span: Option<Span>) -> Value {
+    /// Builds a node whose children are the values above `base` on the
+    /// value stack, consuming them.
+    fn make_node(&mut self, kind: &NodeKind, base: u32, span: Option<Span>) -> Value {
+        let children = self.vstack.len() - base as usize;
         self.stats.nodes_built += 1;
-        self.stats.value_bytes += (modpeg_runtime::Arena::NODE_BYTES
-            + children.len() * std::mem::size_of::<Value>())
-            as u64;
-        Value::ArenaNode(self.memo.arena_mut().alloc_node(kind.clone(), children, span))
+        self.stats.value_bytes +=
+            (modpeg_runtime::Arena::NODE_BYTES + children * std::mem::size_of::<Value>()) as u64;
+        let arena = self.memo.arena_mut();
+        Value::ArenaNode(arena.alloc_node_from(kind.clone(), &mut self.vstack, base as usize, span))
     }
 
-    fn make_list(&mut self, items: Vec<Value>) -> Value {
-        let items = if items.iter().any(|v| matches!(v, Value::ArenaList(_))) {
-            let arena = self.memo.arena();
-            let mut flat = Vec::with_capacity(items.len());
-            for v in items {
-                match v {
-                    Value::ArenaList(r) => flat.extend(arena.children(r).iter().cloned()),
-                    other => flat.push(other),
-                }
-            }
-            flat
-        } else {
-            items
-        };
+    /// Builds a list of the values above `base` on the value stack,
+    /// consuming them; nested lists are spliced one level.
+    fn make_list(&mut self, base: u32) -> Value {
+        let arena = self.memo.arena_mut();
+        let r = arena.alloc_list_from(&mut self.vstack, base as usize);
         self.stats.lists_built += 1;
-        self.stats.value_bytes += (modpeg_runtime::Arena::NODE_BYTES
-            + items.len() * std::mem::size_of::<Value>())
-            as u64;
-        Value::ArenaList(self.memo.arena_mut().alloc_list(items))
+        self.stats.value_bytes +=
+            (modpeg_runtime::Arena::NODE_BYTES + std::mem::size_of_val(arena.children(r))) as u64;
+        Value::ArenaList(r)
     }
 
     /// The name a state operation works with: the operand's first textual
@@ -687,8 +680,7 @@ impl<'p, 'i> Machine<'p, 'i> {
                     self.bts.pop();
                     let m = self.marks.pop().expect("optional mark");
                     if self.vstack.len() - m.vlen as usize >= 2 {
-                        let vs = self.vstack.split_off(m.vlen as usize);
-                        let list = self.make_list(vs);
+                        let list = self.make_list(m.vlen);
                         self.vstack.push(list);
                     }
                 }
@@ -701,8 +693,7 @@ impl<'p, 'i> Machine<'p, 'i> {
                 Op::StarFinish { make } => {
                     let m = self.marks.pop().expect("star mark");
                     if make {
-                        let vs = self.vstack.split_off(m.vlen as usize);
-                        let list = self.make_list(vs);
+                        let list = self.make_list(m.vlen);
                         self.vstack.push(list);
                     }
                 }
@@ -711,14 +702,14 @@ impl<'p, 'i> Machine<'p, 'i> {
                     let m0 = self.marks.pop().expect("plus first mark");
                     if collect {
                         // Two list constructions with one splice level each
-                        // — byte-for-byte the interpreter's `e+` shape.
-                        let rest = self.vstack.split_off(m1.vlen as usize);
-                        let rest_list = self.make_list(rest);
-                        let mut items = self.vstack.split_off(m0.vlen as usize);
-                        if let Value::ArenaList(r) = &rest_list {
-                            items.extend(self.memo.arena().children(*r).iter().cloned());
-                        }
-                        let list = self.make_list(items);
+                        // — byte-for-byte the interpreter's `e+` shape. The
+                        // rest list goes back on the stack, where the outer
+                        // construction splices its items after the first's
+                        // (a list built here never holds a list, so its
+                        // items need no second splice).
+                        let rest_list = self.make_list(m1.vlen);
+                        self.vstack.push(rest_list);
+                        let list = self.make_list(m0.vlen);
                         self.vstack.push(list);
                     } else {
                         self.vstack.truncate(m0.vlen as usize);
@@ -748,9 +739,8 @@ impl<'p, 'i> Machine<'p, 'i> {
                     // The seed sits at the frame base; the tail's values
                     // are above it — together they are the new node's
                     // children, seed first.
-                    let children = self.vstack.split_off(f.vbase as usize);
                     let span = with_span.then(|| Span::new(f.pos0, self.pos));
-                    let node = self.make_node(p.kind(kind), children, span);
+                    let node = self.make_node(p.kind(kind), f.vbase, span);
                     self.vstack.push(node);
                 }
                 Op::MakeNodeFinish {
@@ -759,12 +749,11 @@ impl<'p, 'i> Machine<'p, 'i> {
                     with_span,
                 } => {
                     let f = *self.calls.last().expect("finisher inside a production");
-                    let mut children = self.vstack.split_off(f.vbase as usize);
-                    self.acc = if passthrough && children.len() == 1 {
-                        children.pop().expect("len checked")
+                    self.acc = if passthrough && self.vstack.len() == f.vbase as usize + 1 {
+                        self.vstack.pop().expect("len checked")
                     } else {
                         let span = with_span.then(|| Span::new(f.pos0, self.pos));
-                        self.make_node(p.kind(kind), children, span)
+                        self.make_node(p.kind(kind), f.vbase, span)
                     };
                 }
                 Op::MakeTextFinish { take_inner } => {
