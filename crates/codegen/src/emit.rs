@@ -537,7 +537,7 @@ impl<'g> Emitter<'g> {
             // being deterministic across cache states.
             let _ = writeln!(
                 self.out,
-                "        self.guard()?;\n        self.stats.memo_probes += 1;\n        self.telem.memo_probe({p_idx}, pos);\n        if let Some(ans) = self.memo.probe({slot}, pos) {{\n            if {valid} {{\n                self.stats.memo_hits += 1;\n                self.telem.memo_hit({p_idx}, pos, self.prod_depth, ans.outcome.is_some());\n                return match &ans.outcome {{\n                    None => Err(Fail),\n                    Some((end, value)) => Ok((*end, value.clone())),\n                }};\n            }}\n        }}\n        self.stats.productions_evaluated += 1;\n{span_open}\n        if self.aborted.is_none() && !self.memo_frozen {{\n            self.stats.memo_stores += 1;\n            self.telem.memo_store({p_idx}, pos, r.is_ok());\n            let epoch = {epoch_expr};\n            let ans = match &r {{\n                Ok((end, v)) => MemoAnswer::success(epoch, *end, v.clone()),\n                Err(_) => MemoAnswer::fail(epoch),\n            }};\n            self.memo.store({slot}, pos, ans);\n            if self.memo_budget != u64::MAX && self.memo.retained_bytes() > self.memo_budget {{\n                self.enforce_memo_budget(pos);\n            }}\n        }}\n        r\n    }}\n"
+                "        self.guard()?;\n        self.stats.memo_probes += 1;\n        self.telem.memo_probe({p_idx}, pos);\n        if let Some(ans) = self.memo.probe({slot}, pos) {{\n            if {valid} {{\n                self.stats.memo_hits += 1;\n                self.telem.memo_hit({p_idx}, pos, self.prod_depth, ans.outcome.is_some());\n                return ans.outcome.ok_or(Fail);\n            }}\n        }}\n        self.stats.productions_evaluated += 1;\n{span_open}\n        if self.aborted.is_none() && !self.memo_frozen {{\n            self.stats.memo_stores += 1;\n            self.telem.memo_store({p_idx}, pos, r.is_ok());\n            let epoch = {epoch_expr};\n            let ans = match &r {{\n                Ok((end, v)) => MemoAnswer::success(epoch, *end, v.clone()),\n                Err(_) => MemoAnswer::fail(epoch),\n            }};\n            self.memo.store({slot}, pos, ans);\n            if self.memo_budget != u64::MAX && self.memo.retained_bytes() > self.memo_budget {{\n                self.enforce_memo_budget(pos);\n            }}\n        }}\n        r\n    }}\n"
             );
         } else {
             let _ = writeln!(

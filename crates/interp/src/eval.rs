@@ -21,7 +21,7 @@ enum Memo {
 }
 
 impl Memo {
-    fn probe(&mut self, slot: u32, pos: u32) -> Option<&MemoAnswer> {
+    fn probe(&mut self, slot: u32, pos: u32) -> Option<MemoAnswer> {
         match self {
             Memo::Hash(m) => m.probe(slot, pos),
             // Settling is a no-op outside incremental sessions (bias 0),
@@ -394,10 +394,7 @@ impl<'g, 'i> Run<'g, 'i> {
                     self.stats.memo_stale += 1;
                 } else {
                     self.stats.memo_hits += 1;
-                    let hit = match &ans.outcome {
-                        None => Err(Fail),
-                        Some((end, value)) => Ok((*end, value.clone())),
-                    };
+                    let hit = ans.outcome.ok_or(Fail);
                     // The stored result depends on the bytes its original
                     // evaluation examined; charge them to the enclosing
                     // memoized evaluation's extent.
@@ -978,7 +975,7 @@ impl<'g, 'i> Run<'g, 'i> {
                 self.stats.memo_hits += 1;
                 // Star always succeeds, so a failure entry (`None`) is
                 // impossible; the arm below maps it to failure anyway.
-                let hit = ans.outcome.as_ref().map(|(end, value)| (*end, value.clone()));
+                let hit = ans.outcome;
                 let ext = self.memo.extent_at(pos);
                 self.examined = self.examined.max(pos.saturating_add(ext));
                 self.telem
@@ -1069,14 +1066,11 @@ impl<'g, 'i> Run<'g, 'i> {
         let epoch_check = self.g.reads_state[eid as usize];
         self.stats.memo_probes += 1;
         self.telem.memo_probe(REP_HELPER, pos);
-        let mut hit: Option<(u32, Value)> = None;
-        if let Some(ans) = self.memo.probe(slot, pos) {
-            if !epoch_check || ans.epoch == self.state.epoch() {
-                if let Some((end, value)) = &ans.outcome {
-                    hit = Some((*end, value.clone()));
-                }
-            }
-        }
+        let hit = self
+            .memo
+            .probe(slot, pos)
+            .filter(|ans| !epoch_check || ans.epoch == self.state.epoch())
+            .and_then(|ans| ans.outcome);
         if let Some((end, value)) = hit {
             self.stats.memo_hits += 1;
             let ext = self.memo.extent_at(pos);

@@ -49,6 +49,12 @@ impl ArenaRef {
     pub fn generation(self) -> u32 {
         self.generation
     }
+
+    /// Rebuilds a handle from its two halves (the memo table's packed
+    /// entries store them as plain integers).
+    pub(crate) fn from_raw(index: u32, generation: u32) -> Self {
+        ArenaRef { index, generation }
+    }
 }
 
 /// One flat node record: a kind tag (`None` marks a list), an optional

@@ -8,66 +8,172 @@
 //! each case is deterministic per seed, so failures reproduce exactly.
 
 use std::collections::HashSet;
+use std::rc::Rc;
 
-use modpeg_runtime::{ChunkMemo, HashMemo, MemoAnswer, MemoTable, ScopedState, Span, Value};
+use modpeg_runtime::{
+    ChunkMemo, HashMemo, MemoAnswer, MemoTable, NodeKind, ScopedState, Span, Value,
+};
 use modpeg_workload::rng::StdRng;
 
-#[derive(Debug, Clone)]
-enum MemoOp {
-    Store { slot: u32, pos: u32, end: u32 },
-    StoreFail { slot: u32, pos: u32 },
-    Probe { slot: u32, pos: u32 },
+/// The reference for [`ChunkMemo`]: a [`HashMemo`] plus the keys it holds
+/// that the chunked table has legitimately dropped (evicted, or overwritten
+/// by an answer whose epoch is too large to store).
+struct MemoModel {
+    hash: HashMemo,
+    keys: HashSet<(u32, u32)>,
+    dropped: HashSet<(u32, u32)>,
 }
 
-fn memo_ops(rng: &mut StdRng, n_slots: u32, input_len: u32) -> Vec<MemoOp> {
-    let n = rng.gen_range(0usize..200);
-    (0..n)
-        .map(|_| {
-            let slot = rng.gen_range(0..n_slots);
-            let pos = rng.gen_range(0..=input_len);
-            match rng.gen_range(0u8..3) {
-                0 => MemoOp::Store {
-                    slot,
-                    pos,
-                    end: pos,
-                },
-                1 => MemoOp::StoreFail { slot, pos },
-                _ => MemoOp::Probe { slot, pos },
+impl MemoModel {
+    fn new() -> Self {
+        MemoModel {
+            hash: HashMemo::new(),
+            keys: HashSet::new(),
+            dropped: HashSet::new(),
+        }
+    }
+
+    fn store(&mut self, slot: u32, pos: u32, ans: MemoAnswer) {
+        if ans.epoch > ChunkMemo::MAX_EPOCH {
+            if self.keys.contains(&(slot, pos)) {
+                self.dropped.insert((slot, pos));
             }
-        })
-        .collect()
+            return;
+        }
+        self.hash.store(slot, pos, ans);
+        self.keys.insert((slot, pos));
+        self.dropped.remove(&(slot, pos));
+    }
+
+    fn probe(&self, slot: u32, pos: u32) -> Option<MemoAnswer> {
+        if self.dropped.contains(&(slot, pos)) {
+            return None;
+        }
+        self.hash.probe(slot, pos)
+    }
+
+    /// Drops every key at a position left of `hot_from`, counting them.
+    fn evict(&mut self, hot_from: u32) -> u64 {
+        let before = self.dropped.len();
+        self.dropped
+            .extend(self.keys.iter().filter(|k| k.1 < hot_from).copied());
+        (self.dropped.len() - before) as u64
+    }
+
+    fn entries(&self) -> u64 {
+        (self.keys.len() - self.dropped.len()) as u64
+    }
+}
+
+/// Region values to store: arena nodes and lists allocated in `memo`'s
+/// own region at its current generation.
+fn region_values(memo: &mut ChunkMemo) -> Vec<Value> {
+    let arena = memo.arena_mut();
+    let leaf = Value::Text(Span::new(0, 1));
+    let a = arena.alloc_node(NodeKind::new("A"), vec![leaf.clone()], None);
+    let b = arena.alloc_list(vec![leaf, Value::ArenaNode(a)]);
+    let c = arena.alloc_node(
+        NodeKind::new("C"),
+        vec![Value::ArenaList(b)],
+        Some(Span::new(0, 2)),
+    );
+    vec![
+        Value::ArenaNode(a),
+        Value::ArenaList(b),
+        Value::ArenaNode(c),
+    ]
+}
+
+/// One random answer of any kind, with an epoch from the interesting set
+/// (0, small, the largest storable, and past the 29-bit limit).
+fn random_answer(rng: &mut StdRng, pos: u32, input_len: u32, region: &[Value]) -> MemoAnswer {
+    const TEXTS: [&str; 3] = ["", "x", "owned text"];
+    let epoch = match rng.gen_range(0u8..8) {
+        0..=3 => 0,
+        4 => rng.gen_range(1..4),
+        5 => ChunkMemo::MAX_EPOCH,
+        6 => ChunkMemo::MAX_EPOCH + 1,
+        _ => u32::MAX,
+    };
+    let end = rng.gen_range(pos..=input_len);
+    let value = match rng.gen_range(0u8..7) {
+        0 => return MemoAnswer::fail(epoch),
+        1 => Value::Unit,
+        2 => Value::Absent,
+        3 => Value::Text(Span::new(pos, end)),
+        4 => Value::OwnedText(Rc::from(TEXTS[rng.gen_range(0..TEXTS.len())])),
+        _ => region[rng.gen_range(0..region.len())].clone(),
+    };
+    MemoAnswer::success(epoch, end, value)
+}
+
+fn assert_same(chunk: &ChunkMemo, model: &MemoModel, n_slots: u32, input_len: u32, ctx: &str) {
+    assert_eq!(chunk.entries(), model.entries(), "{ctx}");
+    // One slot and one position past the geometry too: both must miss.
+    for slot in 0..=n_slots {
+        for pos in 0..=input_len + 1 {
+            assert_eq!(
+                chunk.probe(slot, pos),
+                model.probe(slot, pos),
+                "{ctx}: slot {slot} pos {pos}"
+            );
+        }
+    }
 }
 
 #[test]
 fn chunk_memo_equals_hash_memo() {
+    const SLOTS: [u32; 4] = [1, 7, 37, 45];
+    const LENS: [u32; 4] = [0, 16, 64, 200];
     for seed in 0..96u64 {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x6D656D6F);
-        let ops = memo_ops(&mut rng, 37, 64);
-        let mut chunk = ChunkMemo::new(37, 64);
-        let mut hash = HashMemo::new();
-        for op in &ops {
-            match *op {
-                MemoOp::Store { slot, pos, end } => {
-                    let ans = MemoAnswer::success(0, end, Value::Text(Span::new(pos, end)));
+        let (mut n_slots, mut input_len) = (37, 64);
+        let mut chunk = ChunkMemo::new(n_slots, input_len);
+        let mut region = region_values(&mut chunk);
+        let mut model = MemoModel::new();
+        for step in 0..rng.gen_range(0usize..300) {
+            let ctx = format!("seed {seed} step {step}");
+            let slot = rng.gen_range(0..n_slots);
+            let pos = rng.gen_range(0..=input_len);
+            match rng.gen_range(0u16..100) {
+                0..=59 => {
+                    let ans = random_answer(&mut rng, pos, input_len, &region);
                     chunk.store(slot, pos, ans.clone());
-                    hash.store(slot, pos, ans);
+                    model.store(slot, pos, ans);
                 }
-                MemoOp::StoreFail { slot, pos } => {
-                    chunk.store(slot, pos, MemoAnswer::fail(0));
-                    hash.store(slot, pos, MemoAnswer::fail(0));
+                60..=89 => {
+                    assert_eq!(chunk.probe(slot, pos), model.probe(slot, pos), "{ctx}");
                 }
-                MemoOp::Probe { slot, pos } => {
-                    assert_eq!(chunk.probe(slot, pos), hash.probe(slot, pos));
+                90..=93 => {
+                    // Sometimes keep the geometry, usually change it.
+                    if rng.gen_range(0u8..3) > 0 {
+                        n_slots = SLOTS[rng.gen_range(0..SLOTS.len())];
+                        input_len = LENS[rng.gen_range(0..LENS.len())];
+                    }
+                    chunk.reset_for(n_slots, input_len);
+                    assert!(chunk.fits(n_slots, input_len), "{ctx}");
+                    region = region_values(&mut chunk);
+                    model = MemoModel::new();
+                }
+                94..=98 => {
+                    let hot_from = rng.gen_range(0..=input_len + 1);
+                    let before = chunk.retained_bytes();
+                    let report = chunk.evict_cold(hot_from);
+                    assert_eq!(report.entries_dropped, model.evict(hot_from), "{ctx}");
+                    assert_eq!(report.bytes_freed, before - chunk.retained_bytes(), "{ctx}");
+                }
+                _ => {
+                    let before = chunk.retained_bytes();
+                    let report = chunk.evict_all();
+                    assert_eq!(report.entries_dropped, model.evict(u32::MAX), "{ctx}");
+                    assert_eq!(report.bytes_freed, before - chunk.retained_bytes(), "{ctx}");
+                    assert_eq!(chunk.columns_allocated(), 0, "{ctx}");
+                    assert_eq!(chunk.chunks_allocated(), 0, "{ctx}");
                 }
             }
+            assert_eq!(chunk.entries(), model.entries(), "{ctx}");
         }
-        assert_eq!(chunk.entries(), hash.entries(), "seed {seed}");
-        // Exhaustive final sweep.
-        for slot in 0..37 {
-            for pos in 0..=64 {
-                assert_eq!(chunk.probe(slot, pos), hash.probe(slot, pos), "seed {seed}");
-            }
-        }
+        assert_same(&chunk, &model, n_slots, input_len, &format!("seed {seed}"));
     }
 }
 

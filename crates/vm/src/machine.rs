@@ -482,7 +482,7 @@ impl<'p, 'i> Machine<'p, 'i> {
                             self.stats.memo_stale += 1;
                         } else {
                             self.stats.memo_hits += 1;
-                            hit = Some(ans.outcome.as_ref().map(|(e, v)| (*e, v.clone())));
+                            hit = Some(ans.outcome);
                         }
                     }
                     match hit {

@@ -3,10 +3,11 @@
 //! A counting global allocator tallies the heap allocations each parse
 //! makes on its own thread, and every engine must stay within a committed
 //! budget of allocations per input byte. The count is deterministic for a
-//! fixed input, so this gate never depends on wall time. Each budget sits
-//! next to the count the kernel made before farthest-failure tracking
-//! reused its buffers and the machine built values straight from its
-//! value stack, so a regression towards the old cost is visible at once.
+//! fixed input, so this gate never depends on wall time. The same parse
+//! also checks the memo table's retained bytes per input byte against a
+//! committed budget. Each budget sits next to the figure from before the
+//! memo table moved into flat storage, so a regression towards the old
+//! cost is visible at once.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -115,26 +116,59 @@ fn generated_engine(name: &str) -> &'static dyn Engine {
 }
 
 /// `(document, engine, allocations per byte before, budget)`, counted in
-/// this test's own build. Each budget is today's count plus 10%, rounded
-/// up; the counts are exact, so a change that needs more must raise its
-/// budget here and say why.
+/// this test's own build. "Before" is the count when the memo table kept
+/// every column, chunk table and chunk in its own heap box. Each budget is
+/// today's count plus 10%, rounded up; the counts are exact, so a change
+/// that needs more must raise its budget here and say why.
 const BUDGETS: [(&str, &str, f64, f64); 15] = [
-    ("calc", "vm", 3.45, 1.09),
-    ("calc", "interp", 4.12, 2.40),
-    ("calc", "codegen", 4.12, 2.40),
-    ("json", "vm", 2.73, 0.67),
-    ("json", "interp", 2.99, 1.22),
-    ("json", "codegen", 2.99, 1.22),
-    ("java", "vm", 3.97, 1.05),
-    ("java", "interp", 4.41, 2.37),
-    ("java", "codegen", 4.41, 2.38),
-    ("c", "vm", 4.35, 1.06),
-    ("c", "interp", 4.78, 2.42),
-    ("c", "codegen", 4.78, 2.42),
-    ("java-rejected", "vm", 3.65, 0.70),
-    ("java-rejected", "interp", 4.09, 2.02),
-    ("java-rejected", "codegen", 4.10, 2.03),
+    ("calc", "vm", 0.99, 0.45),
+    ("calc", "interp", 2.18, 1.75),
+    ("calc", "codegen", 2.18, 1.76),
+    ("json", "vm", 0.61, 0.24),
+    ("json", "interp", 1.11, 0.80),
+    ("json", "codegen", 1.11, 0.80),
+    ("java", "vm", 0.96, 0.37),
+    ("java", "interp", 2.16, 1.69),
+    ("java", "codegen", 2.16, 1.69),
+    ("c", "vm", 0.97, 0.48),
+    ("c", "interp", 2.20, 1.83),
+    ("c", "codegen", 2.20, 1.84),
+    ("java-rejected", "vm", 0.64, 0.02),
+    ("java-rejected", "interp", 1.84, 1.34),
+    ("java-rejected", "codegen", 1.84, 1.34),
 ];
+
+/// `(document, engine, memo bytes per input byte before, budget)`: the
+/// memo table's retained bytes at the end of the parse
+/// (`Stats::memo_bytes`), counted in this test's own build. "Before" is
+/// the figure from the same boxed layout of 40-byte cells. The figures
+/// are exact, so each budget is today's figure plus only 5%, rounded up
+/// to a whole byte.
+const MEMO_BUDGETS: [(&str, &str, f64, f64); 15] = [
+    ("calc", "vm", 88.35, 45.0),
+    ("calc", "interp", 88.35, 45.0),
+    ("calc", "codegen", 88.35, 45.0),
+    ("json", "vm", 60.72, 34.0),
+    ("json", "interp", 60.72, 34.0),
+    ("json", "codegen", 60.72, 34.0),
+    ("java", "vm", 120.68, 60.0),
+    ("java", "interp", 120.68, 60.0),
+    ("java", "codegen", 120.68, 60.0),
+    ("c", "vm", 106.13, 54.0),
+    ("c", "interp", 106.13, 54.0),
+    ("c", "codegen", 106.13, 54.0),
+    ("java-rejected", "vm", 120.69, 60.0),
+    ("java-rejected", "interp", 120.69, 60.0),
+    ("java-rejected", "codegen", 120.69, 60.0),
+];
+
+fn lookup(table: &[(&str, &str, f64, f64)], doc: &str, engine: &str) -> (f64, f64) {
+    let &(_, _, before, budget) = table
+        .iter()
+        .find(|b| b.0 == doc && b.1 == engine)
+        .expect("every document and engine has a budget");
+    (before, budget)
+}
 
 #[test]
 fn engines_stay_within_their_allocation_budgets() {
@@ -150,21 +184,29 @@ fn engines_stay_within_their_allocation_budgets() {
         ];
         for (name, engine) in engines {
             let mut accepted = false;
+            let mut memo_bytes = 0;
             let n = allocations(|| {
-                accepted = engine.tree(&text, &ParseOptions::default()).0.is_ok();
+                let (outcome, stats) = engine.tree(&text, &ParseOptions::default());
+                accepted = outcome.is_ok();
+                memo_bytes = stats.memo_bytes;
             });
             assert_eq!(accepted, doc != "java-rejected", "{doc} on {name}");
             let per_byte = n as f64 / text.len() as f64;
-            let &(_, _, before, budget) = BUDGETS
-                .iter()
-                .find(|b| b.0 == doc && b.1 == name)
-                .expect("every document and engine has a budget");
+            let (before, budget) = lookup(&BUDGETS, doc, name);
             report.push_str(&format!(
                 "{doc:>14} {name:>8}: {per_byte:.3} allocations/B ({n} over {} B; budget {budget}, before {before})\n",
                 text.len()
             ));
             if per_byte > budget {
-                over.push(format!("{doc} on {name}"));
+                over.push(format!("{doc} on {name}: allocations"));
+            }
+            let memo_per_byte = memo_bytes as f64 / text.len() as f64;
+            let (before, budget) = lookup(&MEMO_BUDGETS, doc, name);
+            report.push_str(&format!(
+                "{doc:>14} {name:>8}: {memo_per_byte:.2} memo B/B ({memo_bytes} B; budget {budget}, before {before})\n"
+            ));
+            if memo_per_byte > budget {
+                over.push(format!("{doc} on {name}: memo bytes"));
             }
         }
     }
